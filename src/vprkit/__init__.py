@@ -5,7 +5,6 @@ per-query uncertainty estimation with logistic calibration, adaptive
 re-rank gating, and Recall@K / AUPRC evaluation.
 """
 
-from ._kernels import USING_NUMBA
 from .dataset import (
     DescriptorBlob,
     DistanceThreshold,
@@ -45,7 +44,6 @@ from .uncertainty import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "USING_NUMBA",
     "DescriptorBlob",
     "DistanceThreshold",
     "GeoRecord",

@@ -1,35 +1,20 @@
-"""Hot numeric kernels with numba-accelerated and pure-numpy variants.
+"""Hot numeric kernels in numpy: squared L2 distances and haversine.
 
-The numba path is used when numba imports cleanly; setting the environment
-variable ``VPRKIT_NO_NUMBA=1`` (before import) forces the numpy fallback.
-``benchmarks/bench_kernels.py`` compares the two.
-
-Squared-distance kernels accumulate in float64 sequentially over the
-descriptor dimensions. Both variants perform the identical sequence of IEEE
-operations per row, so their outputs are bit-identical and search results do
-not depend on which path is active.
+Squared-distance kernels accumulate in float64 one descriptor dimension at a
+time, so every row sees the same sequence of IEEE operations whether it is
+scored alone (``sq_dists``) or in a batch (``sq_dists_batch``). Single and
+batch search therefore return identical shortlists.
 """
 
 from __future__ import annotations
-
-import math
-import os
 
 import numpy as np
 
 EARTH_RADIUS_M = 6_371_000.0
 
 
-def _numba_disabled() -> bool:
-    return os.environ.get("VPRKIT_NO_NUMBA", "").strip().lower() in ("1", "true", "yes")
-
-
-def sq_dists_numpy(vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Squared L2 distance from `query` to every row of `vectors`.
-
-    Accumulates one dimension at a time so the per-row arithmetic matches the
-    jitted kernel exactly.
-    """
+def sq_dists(vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Squared L2 distance from `query` to every row of `vectors`."""
     acc = np.zeros(vectors.shape[0], dtype=np.float64)
     for j in range(vectors.shape[1]):
         diff = vectors[:, j] - query[j]
@@ -37,17 +22,20 @@ def sq_dists_numpy(vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
     return acc
 
 
-def sq_dists_batch_numpy(vectors: np.ndarray, queries: np.ndarray) -> np.ndarray:
+def sq_dists_batch(vectors: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Squared L2 distances for a batch of queries, shape (n_queries, n_rows)."""
     out = np.empty((queries.shape[0], vectors.shape[0]), dtype=np.float64)
     for i in range(queries.shape[0]):
-        out[i] = sq_dists_numpy(vectors, queries[i])
+        out[i] = sq_dists(vectors, queries[i])
     return out
 
 
-def haversine_m_numpy(lat1: np.ndarray, lon1: np.ndarray,
-                      lat2: np.ndarray, lon2: np.ndarray) -> np.ndarray:
-    """Great-circle distance in meters between coordinate arrays (degrees)."""
+def haversine_m(lat1: np.ndarray, lon1: np.ndarray,
+                lat2: np.ndarray, lon2: np.ndarray) -> np.ndarray:
+    """Great-circle distance in meters between coordinate arrays (degrees).
+
+    Inputs broadcast against each other like any numpy ufunc arguments.
+    """
     p1 = np.radians(lat1)
     p2 = np.radians(lat2)
     dp = np.radians(lat2 - lat1)
@@ -55,73 +43,3 @@ def haversine_m_numpy(lat1: np.ndarray, lon1: np.ndarray,
     a = np.sin(dp / 2.0) ** 2 + np.cos(p1) * np.cos(p2) * np.sin(dl / 2.0) ** 2
     # clip guards rounding just above 1.0 for near-antipodal pairs
     return EARTH_RADIUS_M * 2.0 * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
-
-
-USING_NUMBA = False
-sq_dists_numba = None
-sq_dists_batch_numba = None
-haversine_m_numba = None
-
-if not _numba_disabled():
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-
-    if njit is not None:
-        @njit(cache=True)
-        def sq_dists_numba(vectors, query):  # type: ignore[no-redef]
-            n, dim = vectors.shape
-            out = np.empty(n, dtype=np.float64)
-            for i in range(n):
-                acc = 0.0
-                for j in range(dim):
-                    diff = vectors[i, j] - query[j]
-                    acc += diff * diff
-                out[i] = acc
-            return out
-
-        @njit(cache=True)
-        def sq_dists_batch_numba(vectors, queries):  # type: ignore[no-redef]
-            n, dim = vectors.shape
-            m = queries.shape[0]
-            out = np.empty((m, n), dtype=np.float64)
-            for q in range(m):
-                for i in range(n):
-                    acc = 0.0
-                    for j in range(dim):
-                        diff = vectors[i, j] - queries[q, j]
-                        acc += diff * diff
-                    out[q, i] = acc
-            return out
-
-        @njit(cache=True)
-        def haversine_m_numba(lat1, lon1, lat2, lon2):  # type: ignore[no-redef]
-            n = lat1.shape[0]
-            out = np.empty(n, dtype=np.float64)
-            deg = math.pi / 180.0
-            for i in range(n):
-                p1 = lat1[i] * deg
-                p2 = lat2[i] * deg
-                dp = (lat2[i] - lat1[i]) * deg
-                dl = (lon2[i] - lon1[i]) * deg
-                sp = math.sin(dp / 2.0)
-                sl = math.sin(dl / 2.0)
-                a = sp * sp + math.cos(p1) * math.cos(p2) * sl * sl
-                if a > 1.0:
-                    a = 1.0
-                elif a < 0.0:
-                    a = 0.0
-                out[i] = EARTH_RADIUS_M * 2.0 * math.asin(math.sqrt(a))
-            return out
-
-        USING_NUMBA = True
-
-if USING_NUMBA:
-    sq_dists = sq_dists_numba
-    sq_dists_batch = sq_dists_batch_numba
-    haversine_m = haversine_m_numba
-else:
-    sq_dists = sq_dists_numpy
-    sq_dists_batch = sq_dists_batch_numpy
-    haversine_m = haversine_m_numpy

@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 validation error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .dataset import DistanceThreshold, is_correct, load_split, read_manifest
@@ -155,10 +154,11 @@ def cmd_rerank(args) -> int:
     return 0
 
 
-def _scores_for(args, shortlists):
+def _scores_for(args, shortlists, provider=None):
+    """Scores under ``args.estimator``; the inlier table is loaded only when
+    the estimator needs it and the caller has not already built a provider."""
     estimator = Estimator(args.estimator)
-    provider = None
-    if estimator is Estimator.INLIER:
+    if estimator is Estimator.INLIER and provider is None:
         if not args.inliers:
             raise ValidationError("the inlier estimator requires --inliers")
         provider = TableProvider(load_inlier_table(args.inliers))
@@ -222,7 +222,7 @@ def cmd_gate(args) -> int:
         model = LogisticModel.from_json(fh.read())
     policy = GatePolicy(model=model, threshold=args.threshold,
                         estimator=Estimator(args.estimator))
-    scores = {s.query_id: s for s in _scores_for(args, shortlists)}
+    scores = {s.query_id: s for s in _scores_for(args, shortlists, provider)}
     reranked = [adaptive_rerank(sl, provider, policy, scores[sl.query_id])
                 for sl in shortlists]
     write_reranked_csv(reranked, args.out)
@@ -258,18 +258,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except VprError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -187,6 +187,8 @@ def geo_distance(a: GeoRecord, b: GeoRecord) -> float:
 
 def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Scalar haversine on the 6,371 km sphere."""
+    # 1-element arrays, not numpy scalars: numpy's scalar sin/cos can differ
+    # from its array loops in the last bit, and this must match haversine_many
     out = _kernels.haversine_m(
         np.array([lat1], dtype=np.float64),
         np.array([lon1], dtype=np.float64),
@@ -197,15 +199,14 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 
 
 def haversine_many(lat1, lon1, lat2, lon2) -> np.ndarray:
-    """Elementwise haversine over coordinate arrays (degrees in, meters out)."""
-    lat1 = np.ascontiguousarray(lat1, dtype=np.float64)
-    lon1 = np.ascontiguousarray(lon1, dtype=np.float64)
-    lat2 = np.ascontiguousarray(lat2, dtype=np.float64)
-    lon2 = np.ascontiguousarray(lon2, dtype=np.float64)
-    lat1, lon1, lat2, lon2 = np.broadcast_arrays(lat1, lon1, lat2, lon2)
+    """Elementwise haversine over coordinate arrays (degrees in, meters out).
+
+    Arguments broadcast against each other, so a scalar query coordinate can
+    be paired with arrays of candidate coordinates.
+    """
     return _kernels.haversine_m(
-        np.ascontiguousarray(lat1), np.ascontiguousarray(lon1),
-        np.ascontiguousarray(lat2), np.ascontiguousarray(lon2),
+        np.asarray(lat1, dtype=np.float64), np.asarray(lon1, dtype=np.float64),
+        np.asarray(lat2, dtype=np.float64), np.asarray(lon2, dtype=np.float64),
     )
 
 

@@ -259,18 +259,20 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
 
     retrieval_ids = {sl.query_id: sl.ids() for sl in shortlists}
 
+    def _map(fn, items: Sequence[Shortlist]) -> list:
+        # serial at one worker, so the default path starts no pool thread
+        if workers == 1:
+            return [fn(sl) for sl in items]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+
     def _rerank_one(sl: Shortlist) -> list[str]:
         try:
             return rerank(sl, provider).ids()
         except ValidationError as exc:
             raise ValidationError(f"query {sl.query_id!r}: {exc}") from exc
 
-    if workers == 1:
-        rerank_ids = {sl.query_id: _rerank_one(sl) for sl in shortlists}
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ordered = list(pool.map(_rerank_one, shortlists))
-        rerank_ids = {sl.query_id: ids for sl, ids in zip(shortlists, ordered)}
+    rerank_ids = {sl.query_id: ids for sl, ids in zip(shortlists, _map(_rerank_one, shortlists))}
 
     # top-1 correctness per tau (empty shortlists count as wrong)
     thresholds = {tau: DistanceThreshold(tau) for tau in taus}
@@ -328,11 +330,7 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
             out = adaptive_rerank(sl, provider, policy, by_qid[sl.query_id])
             return out.ids(), out.gate_fired
 
-        if workers == 1:
-            outcomes = [_adaptive_one(sl) for sl in shortlists]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(_adaptive_one, shortlists))
+        outcomes = _map(_adaptive_one, shortlists)
         adaptive_ids = {sl.query_id: ids for sl, (ids, _) in zip(shortlists, outcomes)}
         fired = {sl.query_id: f for sl, (_, f) in zip(shortlists, outcomes)}
         gate_desc = {"estimator": gate_est.value, "threshold": gate_threshold,

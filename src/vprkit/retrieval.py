@@ -74,6 +74,14 @@ def _top_k_order(sq_dists: np.ndarray, k: int) -> np.ndarray:
     return order[:k]
 
 
+def _shortlist(index: Index, sq_dists: np.ndarray, k: int, query_id: str) -> Shortlist:
+    """The top-k shortlist of one query from its squared distances to every row."""
+    order = _top_k_order(sq_dists, min(k, len(index)))
+    dists = np.sqrt(sq_dists[order])
+    entries = [ShortlistEntry(index.ids[i], float(d)) for i, d in zip(order, dists)]
+    return Shortlist(query_id=query_id, entries=entries)
+
+
 def search(index: Index, query_descriptor: np.ndarray, k: int, query_id: str = "") -> Shortlist:
     """Exact top-k search; returns min(k, db size) entries."""
     if k < 1:
@@ -83,11 +91,7 @@ def search(index: Index, query_descriptor: np.ndarray, k: int, query_id: str = "
         raise ValidationError(
             f"query dimension mismatch: query shape {q.shape}, index dim {index.dim}"
         )
-    d2 = _kernels.sq_dists(index._vectors, q)
-    order = _top_k_order(d2, min(k, len(index)))
-    dists = np.sqrt(d2[order])
-    entries = [ShortlistEntry(index.ids[i], float(d)) for i, d in zip(order, dists)]
-    return Shortlist(query_id=query_id, entries=entries)
+    return _shortlist(index, _kernels.sq_dists(index._vectors, q), k, query_id)
 
 
 def search_all(index: Index, queries: Split, k: int) -> list[Shortlist]:
@@ -101,14 +105,7 @@ def search_all(index: Index, queries: Split, k: int) -> list[Shortlist]:
         )
     qmat = np.ascontiguousarray(queries.blob.rows, dtype=np.float64)
     d2 = _kernels.sq_dists_batch(index._vectors, qmat)
-    out = []
-    kk = min(k, len(index))
-    for row, rec in enumerate(queries.records):
-        order = _top_k_order(d2[row], kk)
-        dists = np.sqrt(d2[row][order])
-        entries = [ShortlistEntry(index.ids[i], float(d)) for i, d in zip(order, dists)]
-        out.append(Shortlist(query_id=rec.id, entries=entries))
-    return out
+    return [_shortlist(index, row, k, rec.id) for row, rec in zip(d2, queries.records)]
 
 
 def write_shortlists_csv(shortlists: list[Shortlist], path) -> None:

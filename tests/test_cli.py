@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from vprkit import cli
 from vprkit.cli import main
 from vprkit.uncertainty import LogisticModel
 
@@ -21,6 +22,15 @@ def instance_dir(tmp_path):
 
 def run_ok(argv):
     assert main(argv) == 0
+
+
+def retrieve_to(instance_dir, out, k):
+    run_ok(["retrieve",
+            "--db-manifest", str(instance_dir / "db.jsonl"),
+            "--db-blob", str(instance_dir / "db.vprd"),
+            "--query-manifest", str(instance_dir / "queries.jsonl"),
+            "--query-blob", str(instance_dir / "queries.vprd"),
+            "--k", str(k), "--out", str(out)])
 
 
 class TestPipeline:
@@ -156,3 +166,33 @@ class TestExitCodes:
         run_ok(["uncertainty", "--shortlists", str(shortlists),
                 "--estimator", "sue", "--db-manifest", str(instance_dir / "db.jsonl"),
                 "--out", str(tmp_path / "u.csv")])
+
+    def test_malformed_model_json_is_one(self, instance_dir, tmp_path, capsys):
+        shortlists = tmp_path / "s.csv"
+        retrieve_to(instance_dir, shortlists, 5)
+        model = tmp_path / "model.json"
+        model.write_text('{"w": 1.0, "b": ')
+        code = main(["gate", "--shortlists", str(shortlists),
+                     "--inliers", str(instance_dir / "inliers.csv"),
+                     "--model", str(model), "--out", str(tmp_path / "g.csv")])
+        assert code == 1
+        assert "bad logistic model JSON" in capsys.readouterr().err
+
+
+def test_gate_loads_inlier_table_once(instance_dir, tmp_path, monkeypatch):
+    shortlists = tmp_path / "s.csv"
+    retrieve_to(instance_dir, shortlists, 5)
+    model = tmp_path / "model.json"
+    model.write_text(LogisticModel(w=1.0, b=0.0, mean=0.0, std=1.0).to_json())
+    calls = []
+    real = cli.load_inlier_table
+
+    def counting(path):
+        calls.append(path)
+        return real(path)
+
+    monkeypatch.setattr(cli, "load_inlier_table", counting)
+    run_ok(["gate", "--shortlists", str(shortlists),
+            "--inliers", str(instance_dir / "inliers.csv"),
+            "--model", str(model), "--estimator", "inlier", "--out", str(tmp_path / "g.csv")])
+    assert len(calls) == 1

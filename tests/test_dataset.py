@@ -8,6 +8,7 @@ from vprkit.dataset import (
     GeoRecord,
     geo_distance,
     haversine_m,
+    haversine_many,
     is_correct,
     load_split,
     read_blob,
@@ -154,6 +155,21 @@ class TestGeoDistance:
             got = haversine_m(la1, lo1, la2, lo2)
             want = _oracle_haversine(la1, lo1, la2, lo2)
             assert got == pytest.approx(want, rel=1e-6, abs=1e-6)
+
+    def test_many_broadcasts_a_scalar_query(self, rng):
+        near_lat = 48.5 + rng.normal(size=500) * 1e-4
+        near_lon = 2.25 + rng.normal(size=500) * 1e-4
+        full = haversine_many(np.full(500, 48.5), np.full(500, 2.25), near_lat, near_lon)
+        assert haversine_many(48.5, 2.25, near_lat, near_lon).tobytes() == full.tobytes()
+
+    def test_scalar_matches_many_bit_for_bit(self, rng):
+        # is_correct (calibrate) and haversine_many (evaluate) must label the
+        # same pair alike at the tau boundary
+        lats = rng.uniform(-90, 90, (10000, 2))
+        lons = rng.uniform(-180, 180, (10000, 2))
+        many = haversine_many(lats[:, 0], lons[:, 0], lats[:, 1], lons[:, 1])
+        one = [haversine_m(la1, lo1, la2, lo2) for (la1, la2), (lo1, lo2) in zip(lats, lons)]
+        assert np.array(one).tobytes() == many.tobytes()
 
 
 class TestIsCorrect:

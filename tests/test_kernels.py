@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -18,24 +14,9 @@ def arrays(rng):
 class TestSquaredDistances:
     def test_numpy_matches_direct_formula(self, arrays):
         vectors, queries = arrays
-        got = _kernels.sq_dists_numpy(vectors, queries[0])
+        got = _kernels.sq_dists(vectors, queries[0])
         want = np.sum((vectors - queries[0]) ** 2, axis=1)
         np.testing.assert_allclose(got, want, rtol=1e-12)
-
-    @pytest.mark.skipif(_kernels.sq_dists_numba is None, reason="numba path inactive")
-    def test_numba_bit_identical_to_numpy(self, arrays):
-        vectors, queries = arrays
-        for q in queries:
-            a = _kernels.sq_dists_numpy(vectors, np.ascontiguousarray(q))
-            b = _kernels.sq_dists_numba(vectors, np.ascontiguousarray(q))
-            np.testing.assert_array_equal(a, b)
-
-    @pytest.mark.skipif(_kernels.sq_dists_batch_numba is None, reason="numba path inactive")
-    def test_batch_kernels_bit_identical(self, arrays):
-        vectors, queries = arrays
-        a = _kernels.sq_dists_batch_numpy(vectors, queries)
-        b = _kernels.sq_dists_batch_numba(vectors, queries)
-        np.testing.assert_array_equal(a, b)
 
     def test_batch_matches_per_query(self, arrays):
         vectors, queries = arrays
@@ -51,55 +32,7 @@ class TestSquaredDistances:
 
 
 class TestHaversineKernels:
-    @pytest.mark.skipif(_kernels.haversine_m_numba is None, reason="numba path inactive")
-    def test_paths_agree(self, rng):
-        lat1 = np.ascontiguousarray(rng.uniform(-90, 90, 500))
-        lon1 = np.ascontiguousarray(rng.uniform(-180, 180, 500))
-        lat2 = np.ascontiguousarray(rng.uniform(-90, 90, 500))
-        lon2 = np.ascontiguousarray(rng.uniform(-180, 180, 500))
-        a = _kernels.haversine_m_numpy(lat1, lon1, lat2, lon2)
-        b = _kernels.haversine_m_numba(lat1, lon1, lat2, lon2)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-6)
-
     def test_zero_distance(self):
         one = np.array([33.3])
         assert _kernels.haversine_m(one, one, one, one)[0] == 0.0
 
-
-class TestEnvFlag:
-    def test_no_numba_flag_forces_numpy_path(self):
-        code = (
-            "import vprkit._kernels as k; "
-            "print(k.USING_NUMBA, k.sq_dists is k.sq_dists_numpy)"
-        )
-        env = dict(os.environ, VPRKIT_NO_NUMBA="1")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, timeout=120)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False True"
-
-    def test_search_results_identical_across_paths(self, tmp_path, rng):
-        # same fixed instance searched under both kernel configurations
-        script = tmp_path / "probe.py"
-        script.write_text(
-            "import numpy as np\n"
-            "from vprkit.dataset import GeoRecord, DescriptorBlob, Split\n"
-            "from vprkit.retrieval import build_index, search\n"
-            "rng = np.random.default_rng(7)\n"
-            "rows = rng.standard_normal((200, 12)).astype(np.float32)\n"
-            "rows /= np.linalg.norm(rows, axis=1, keepdims=True)\n"
-            "recs = [GeoRecord(id=str(i), lat=0.0, lon=0.0, descriptor_index=i)"
-            " for i in range(200)]\n"
-            "split = Split(records=recs, blob=DescriptorBlob(dim=12, rows=rows))\n"
-            "sl = search(build_index(split), np.asarray(rows[5], dtype=np.float64), 20)\n"
-            "for e in sl.entries:\n"
-            "    print(e.db_id, repr(e.distance))\n"
-        )
-        outputs = []
-        for flag in ("0", "1"):
-            env = dict(os.environ, VPRKIT_NO_NUMBA=flag)
-            proc = subprocess.run([sys.executable, str(script)], env=env,
-                                  capture_output=True, text=True, timeout=180)
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(proc.stdout)
-        assert outputs[0] == outputs[1]
