@@ -114,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="logistic model JSON for the gate")
     p.add_argument("--oracle-gate", action="store_true",
                    help="gate on ground-truth top-1 correctness instead of a model")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--pr-csv", help="write PR curves CSV here")
     p.set_defaults(func=cmd_evaluate)
@@ -243,7 +242,7 @@ def cmd_evaluate(args) -> int:
     report = evaluate_pipeline(
         db, queries, provider, k=args.k, taus=(args.tau,),
         gate_estimator=gate_estimator, gate_threshold=args.threshold,
-        gate_model=model, seed=args.seed, workers=args.workers)
+        gate_model=model, seed=args.seed)
     sys.stdout.write(report.to_text())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from .dataset import DistanceThreshold, GeoRecord, Split, haversine_many
 from .errors import ValidationError
 from .matching import MatcherProvider
-from .rerank import GatePolicy, adaptive_rerank, rerank
+from .rerank import GatePolicy, rerank
 from .retrieval import Shortlist, build_index, search_all
 from .uncertainty import (
     Estimator,
@@ -43,7 +43,10 @@ def recall_at_k(results: Mapping[str, Sequence[str]],
                 query_records: Mapping[str, GeoRecord],
                 db_records: Mapping[str, GeoRecord],
                 k: int, threshold: DistanceThreshold) -> float:
-    """Percent of queries with a correct candidate in their top k."""
+    """Percent of queries with a correct candidate in their top k.
+
+    The per-query reference for the batch recalls of ``evaluate_pipeline``.
+    """
     if len(results) == 0:
         raise ValidationError("recall is undefined over zero queries")
     if k < 1:
@@ -54,23 +57,14 @@ def recall_at_k(results: Mapping[str, Sequence[str]],
             q = query_records[query_id]
         except KeyError:
             raise ValidationError(f"query {query_id!r} has no record") from None
-        if _any_correct(q, ranked[:k], db_records, threshold):
+        try:
+            recs = [db_records[db_id] for db_id in ranked[:k]]
+        except KeyError as exc:
+            raise ValidationError(f"candidate {exc.args[0]!r} has no record") from None
+        dists = haversine_many(q.lat, q.lon, [r.lat for r in recs], [r.lon for r in recs])
+        if (dists <= threshold.tau).any():
             hits += 1
     return 100.0 * hits / len(results)
-
-
-def _any_correct(q: GeoRecord, ranked: Sequence[str],
-                 db_records: Mapping[str, GeoRecord], threshold: DistanceThreshold) -> bool:
-    if len(ranked) == 0:
-        return False
-    try:
-        recs = [db_records[db_id] for db_id in ranked]
-    except KeyError as exc:
-        raise ValidationError(f"candidate {exc.args[0]!r} has no record") from None
-    lats = np.array([r.lat for r in recs])
-    lons = np.array([r.lon for r in recs])
-    dists = haversine_many(np.full(len(recs), q.lat), np.full(len(recs), q.lon), lats, lons)
-    return bool((dists <= threshold.tau).any())
 
 
 def pr_curve(samples: Sequence[tuple[float, bool]]) -> list[tuple[float, float]]:
@@ -135,20 +129,7 @@ class EvalReport:
     gate: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "n_queries": self.n_queries,
-            "k": self.k,
-            "ks": list(self.ks),
-            "taus": list(self.taus),
-            "seed": self.seed,
-            "recalls": self.recalls,
-            "auprc": self.auprc,
-            "pr_curves": self.pr_curves,
-            "correct_top1": self.correct_top1,
-            "gate_fired": self.gate_fired,
-            "gate": self.gate,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     def to_text(self) -> str:
         lines = []
@@ -243,46 +224,48 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
     When no model is supplied for a real estimator, one is fitted on this very
     instance's scores and labels (fine for synthetic studies; calibrate on a
     held-out split for anything else). Deterministic for fixed seed, at any
-    ``workers`` degree.
+    ``workers`` degree; ``workers`` threads fetch the re-ranking inlier counts.
+
+    Every system is a permutation of the same shortlist positions: each reads
+    one boolean queries x positions correctness matrix per tau through its
+    own permutation, and a fired query reuses its full re-ranking order, so
+    each inlier pair is fetched once.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     if len(taus) == 0 or len(ks) == 0:
         raise ValidationError("need at least one tau and one K")
+    if len(queries) == 0:
+        raise ValidationError("recall is undefined over zero queries")
     taus = tuple(float(t) for t in taus)
     ks = tuple(int(x) for x in ks)
+    if min(ks) < 1:
+        raise ValidationError(f"k must be >= 1, got {min(ks)}")
 
-    index = build_index(db)
-    shortlists = search_all(index, queries, k)
-    query_records = queries.by_id
+    shortlists = search_all(build_index(db), queries, k)
     db_records = db.by_id
+    n_q = len(shortlists)
 
-    retrieval_ids = {sl.query_id: sl.ids() for sl in shortlists}
+    # correct[tau][i, j]: candidate j of query i lies within tau meters
+    row = {r.id: i for i, r in enumerate(db.records)}
+    cand = db.coords()[np.array([[row[e.db_id] for e in sl.entries] for sl in shortlists])]
+    q = queries.coords()[:, None, :]
+    dists = haversine_many(q[..., 0], q[..., 1], cand[..., 0], cand[..., 1])
+    correct = {tau: dists <= DistanceThreshold(tau).tau for tau in taus}
 
-    def _map(fn, items: Sequence[Shortlist]) -> list:
-        # serial at one worker, so the default path starts no pool thread
-        if workers == 1:
-            return [fn(sl) for sl in items]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-
-    def _rerank_one(sl: Shortlist) -> list[str]:
+    def _rerank_order(sl: Shortlist) -> list[int]:
         try:
-            return rerank(sl, provider).ids()
+            return [e.original_rank - 1 for e in rerank(sl, provider).entries]
         except ValidationError as exc:
             raise ValidationError(f"query {sl.query_id!r}: {exc}") from exc
 
-    rerank_ids = {sl.query_id: ids for sl, ids in zip(shortlists, _map(_rerank_one, shortlists))}
-
-    # top-1 correctness per tau (empty shortlists count as wrong)
-    thresholds = {tau: DistanceThreshold(tau) for tau in taus}
-    correct_top1: dict[float, dict[str, bool]] = {}
-    for tau, thr in thresholds.items():
-        flags = {}
-        for sl in shortlists:
-            flags[sl.query_id] = _any_correct(query_records[sl.query_id], sl.ids()[:1],
-                                              db_records, thr)
-        correct_top1[tau] = flags
+    if workers == 1:  # serial, so the default path starts no pool thread
+        orders = [_rerank_order(sl) for sl in shortlists]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            orders = list(pool.map(_rerank_order, shortlists))
+    retrieval_order = np.arange(dists.shape[1])[None, :]
+    rerank_order = np.array(orders)
 
     scores_by_estimator: dict[Estimator, list[UncertaintyScore]] = {}
     for est in estimators:
@@ -290,28 +273,23 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
             shortlists, est, db_records=db_records, provider=provider,
             seed=seed, sue_top=sue_top)
 
-    report = EvalReport(n_queries=len(shortlists), k=k, ks=ks, taus=taus, seed=seed)
+    report = EvalReport(n_queries=n_q, k=k, ks=ks, taus=taus, seed=seed)
 
     for tau in report.taus:
         key = _tau_key(tau)
-        flags = correct_top1[tau]
-        report.correct_top1[key] = sum(1 for v in flags.values() if v)
+        top1 = correct[tau][:, 0]
+        report.correct_top1[key] = int(np.count_nonzero(top1))
         report.auprc[key] = {}
         report.pr_curves[key] = {}
         for est in estimators:
-            samples = [(-s.u, flags[s.query_id]) for s in scores_by_estimator[est]]
-            curve = pr_curve(samples)
+            curve = pr_curve([(-s.u, c) for s, c in zip(scores_by_estimator[est], top1)])
             report.pr_curves[key][est.value] = [[r, p] for r, p in curve]
             report.auprc[key][est.value] = auprc(curve)
 
     # --- adaptive gating ------------------------------------------------
-    primary_tau = report.taus[0]
+    primary_top1 = correct[report.taus[0]][:, 0]
     if gate_estimator == ORACLE_GATE:
-        fired = {qid: not flag for qid, flag in correct_top1[primary_tau].items()}
-        adaptive_ids = {
-            sl.query_id: (rerank_ids if fired[sl.query_id] else retrieval_ids)[sl.query_id]
-            for sl in shortlists
-        }
+        fired = ~primary_top1
         gate_desc = {"estimator": ORACLE_GATE, "threshold": gate_threshold, "fitted_here": False}
     else:
         gate_est = Estimator(gate_estimator)
@@ -321,31 +299,24 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
                                                 provider=provider, seed=seed, sue_top=sue_top)
         fitted_here = gate_model is None
         if gate_model is None:
-            training = [(s.u, not correct_top1[primary_tau][s.query_id]) for s in gate_scores]
-            gate_model = fit_logistic(training)
+            gate_model = fit_logistic([(s.u, not c) for s, c in zip(gate_scores, primary_top1)])
         policy = GatePolicy(model=gate_model, threshold=gate_threshold, estimator=gate_est)
-        by_qid = {s.query_id: s for s in gate_scores}
-
-        def _adaptive_one(sl: Shortlist) -> tuple[list[str], bool]:
-            out = adaptive_rerank(sl, provider, policy, by_qid[sl.query_id])
-            return out.ids(), out.gate_fired
-
-        outcomes = _map(_adaptive_one, shortlists)
-        adaptive_ids = {sl.query_id: ids for sl, (ids, _) in zip(shortlists, outcomes)}
-        fired = {sl.query_id: f for sl, (_, f) in zip(shortlists, outcomes)}
+        fired = np.array([policy.fires(s.u) for s in gate_scores])
         gate_desc = {"estimator": gate_est.value, "threshold": gate_threshold,
                      "fitted_here": fitted_here}
 
-    report.gate_fired = sum(1 for v in fired.values() if v)
+    report.gate_fired = int(np.count_nonzero(fired))
     report.gate = gate_desc
 
-    systems = {"retrieval": retrieval_ids, "rerank": rerank_ids, "adaptive": adaptive_ids}
+    systems = {"retrieval": retrieval_order, "rerank": rerank_order,
+               "adaptive": np.where(fired[:, None], rerank_order, retrieval_order)}
     for tau in report.taus:
         key = _tau_key(tau)
         report.recalls[key] = {}
-        for system, results in systems.items():
+        for system, order in systems.items():
+            hit = np.take_along_axis(correct[tau], order, axis=1)
             report.recalls[key][system] = {
-                str(kk): recall_at_k(results, query_records, db_records, kk, thresholds[tau])
+                str(kk): 100.0 * int(np.count_nonzero(hit[:, :kk].any(axis=1))) / n_q
                 for kk in report.ks
             }
     return report

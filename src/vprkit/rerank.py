@@ -57,6 +57,9 @@ class GatePolicy:
                 f"gate threshold must be strictly inside (0, 1), got {self.threshold}"
             )
 
+    def fires(self, u: float) -> bool:
+        return predict_prob(self.model, u) > self.threshold
+
 
 def _pair_paths(query_id: str, db_id: str,
                 image_paths: Mapping[str, str] | None) -> tuple[str, str] | None:
@@ -108,8 +111,7 @@ def adaptive_rerank(shortlist: Shortlist, provider: MatcherProvider, policy: Gat
     if len(shortlist) == 0:
         raise ValidationError(f"query {shortlist.query_id!r}: empty shortlist")
 
-    prob = predict_prob(policy.model, u.u)
-    if prob > policy.threshold:
+    if policy.fires(u.u):
         return rerank(shortlist, provider, image_paths)
 
     top1_inliers = None

@@ -120,7 +120,7 @@ class TestPipeline:
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         run_ok(argv + ["--out", str(a)])
-        run_ok(argv + ["--out", str(b), "--workers", "4"])
+        run_ok(argv + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
 

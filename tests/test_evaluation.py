@@ -5,16 +5,22 @@ import numpy as np
 import pytest
 
 from vprkit.dataset import DistanceThreshold, GeoRecord
-from vprkit.errors import ValidationError
+from vprkit.errors import MissingPairError, ValidationError
 from vprkit.evaluation import (
     auprc,
+    compute_uncertainties,
     evaluate_pipeline,
     pr_curve,
     recall_at_k,
     write_pr_curves_csv,
 )
-from vprkit.matching import TableProvider
+from vprkit.matching import InlierTable, MatcherProvider, TableProvider
+from vprkit.rerank import GatePolicy, adaptive_rerank, rerank
+from vprkit.retrieval import build_index, search_all
 from vprkit.synth import SynthConfig, generate
+from vprkit.uncertainty import Estimator, fit_logistic
+
+from conftest import make_split
 
 M_PER_DEG = 6_371_000.0 * math.pi / 180.0
 
@@ -274,3 +280,115 @@ class TestEvaluatePipeline:
         assert lines[0] == "estimator,recall,precision"
         estimators = {line.split(",")[0] for line in lines[1:]}
         assert estimators == {"l2", "pa", "sue", "random", "inlier"}
+
+
+class CountingProvider(MatcherProvider):
+    """Counts every get_inliers call before delegating it."""
+
+    def __init__(self, inner: MatcherProvider):
+        self.inner = inner
+        self.calls = 0
+
+    def get_inliers(self, query_id, db_id, image_paths=None):
+        self.calls += 1
+        return self.inner.get_inliers(query_id, db_id, image_paths)
+
+
+def gated_instance(k=10):
+    """A hard-regime instance, its shortlists, and an inlier gate fitted on
+    its own top-1 labels that fires for some queries but not all."""
+    inst = generate(SynthConfig(n_db=300, n_queries=200, dim=16, target_retrieval_r1=0.7,
+                                matcher_quality=0.9, seed=562), k=k)
+    provider = TableProvider(inst.inliers)
+    shortlists = search_all(build_index(inst.db), inst.queries, k)
+    scores = compute_uncertainties(shortlists, Estimator.INLIER, provider=provider)
+    wrong = [recall_at_k({sl.query_id: sl.ids()}, inst.queries.by_id, inst.db.by_id, 1,
+                         DistanceThreshold(25.0)) == 0.0 for sl in shortlists]
+    policy = GatePolicy(model=fit_logistic(list(zip([s.u for s in scores], wrong))),
+                        threshold=0.5)
+    return inst, shortlists, scores, policy
+
+
+class TestEvaluateMatcherCost:
+    def test_each_inlier_pair_is_fetched_once(self):
+        k = 10
+        inst, shortlists, scores, policy = gated_instance(k)
+        n_q = len(shortlists)
+        for gate in ({"gate_estimator": "oracle"},
+                     {"gate_estimator": "inlier", "gate_model": policy.model,
+                      "gate_threshold": policy.threshold}):
+            provider = CountingProvider(TableProvider(inst.inliers))
+            report = evaluate_pipeline(inst.db, inst.queries, provider, k=k, ks=(1, k),
+                                       taus=(25.0,), **gate)
+            assert 0 < report.gate_fired < n_q
+            # full re-rank fetches n_q * k pairs, the inlier estimator the n_q
+            # top-1 pairs again; a fired query reuses its re-ranking order
+            assert provider.calls == n_q * k + n_q
+
+        # report is the fitted-model run: its adaptive rows are re-rank rows
+        # exactly where adaptive_rerank fires
+        provider = TableProvider(inst.inliers)
+        fired = 0
+        for sl, u in zip(shortlists, scores):
+            out = adaptive_rerank(sl, provider, policy, u)
+            expected = rerank(sl, provider).ids() if out.gate_fired else sl.ids()
+            assert out.ids() == expected
+            fired += out.gate_fired
+        assert fired == report.gate_fired
+
+
+class TestEvaluateMatchesPerQueryReference:
+    def test_every_system_k_and_tau(self):
+        k = 10
+        ks = (1, 5, 10, 100)  # K > k reads the whole shortlist
+        taus = (25.0, 100.0)
+        inst, shortlists, scores, policy = gated_instance(k)
+        provider = TableProvider(inst.inliers)
+        report = evaluate_pipeline(inst.db, inst.queries, provider, k=k, ks=ks, taus=taus,
+                                   gate_estimator="inlier", gate_model=policy.model,
+                                   gate_threshold=policy.threshold)
+        systems = {
+            "retrieval": {sl.query_id: sl.ids() for sl in shortlists},
+            "rerank": {sl.query_id: rerank(sl, provider).ids() for sl in shortlists},
+            "adaptive": {sl.query_id: adaptive_rerank(sl, provider, policy, u).ids()
+                         for sl, u in zip(shortlists, scores)},
+        }
+        for tau in taus:
+            for system, results in systems.items():
+                for kk in ks:
+                    expected = recall_at_k(results, inst.queries.by_id, inst.db.by_id, kk,
+                                           DistanceThreshold(tau))
+                    assert report.recalls[repr(tau)][system][str(kk)] == expected
+
+
+class TestEvaluateErrors:
+    def test_zero_in_ks_rejected(self):
+        inst = generate(SynthConfig(n_db=60, n_queries=20, dim=8, seed=570), k=5)
+        with pytest.raises(ValidationError, match="k must be >= 1"):
+            evaluate_pipeline(inst.db, inst.queries, TableProvider(inst.inliers),
+                              k=5, ks=(1, 0), gate_estimator="oracle")
+
+    def test_missing_top1_pair_names_the_pair(self):
+        inst = generate(SynthConfig(n_db=60, n_queries=20, dim=8, seed=571), k=5)
+        sl = search_all(build_index(inst.db), inst.queries, 5)[3]
+        pair = (sl.query_id, sl.entries[0].db_id)
+        counts = {key: n for key, n in inst.inliers.counts.items() if key != pair}
+        with pytest.raises(MissingPairError) as err:
+            evaluate_pipeline(inst.db, inst.queries, TableProvider(InlierTable(counts)),
+                              k=5, ks=(1,), gate_estimator="oracle")
+        assert (err.value.query_id, err.value.db_id) == pair
+        assert f"({pair[0]}, {pair[1]})" in str(err.value)
+
+    def test_missing_lower_ranked_pair_sinks_in_rerank(self):
+        base = (40.0, 9.0)
+        queries = make_split([[1.0, 0.0]], [base], prefix="q")
+        # retrieval order r0, r1, r2; only r1 lies within 25 m of the query
+        db = make_split([[1.0, 0.0], [0.8, 0.6], [0.0, 1.0]],
+                        [(40.1, 9.0), base, (40.2, 9.0)])
+        table = InlierTable({("q0", "r0"): 5, ("q0", "r2"): 3})  # ("q0", "r1") missing
+        report = evaluate_pipeline(db, queries, TableProvider(table), k=3, ks=(1, 2, 3),
+                                   estimators=(), gate_estimator="oracle")
+        r = report.recalls["25.0"]
+        assert r["retrieval"] == {"1": 0.0, "2": 100.0, "3": 100.0}
+        assert r["rerank"] == {"1": 0.0, "2": 0.0, "3": 100.0}
+        assert r["adaptive"] == r["rerank"]
