@@ -199,14 +199,10 @@ def cmd_calibrate(args) -> int:
             raise ValidationError(f"query {score.query_id!r} has no shortlist")
         if score.query_id not in query_records:
             raise ValidationError(f"query {score.query_id!r} not in manifest")
-        if len(sl) == 0:
-            wrong = True
-        else:
-            top1 = db_records.get(sl.entries[0].db_id)
-            if top1 is None:
-                raise ValidationError(f"candidate {sl.entries[0].db_id!r} not in db manifest")
-            wrong = not is_correct(query_records[score.query_id], top1, threshold)
-        samples.append((score.u, wrong))
+        top1 = db_records.get(sl.db_ids[0])
+        if top1 is None:
+            raise ValidationError(f"candidate {sl.db_ids[0]!r} not in db manifest")
+        samples.append((score.u, not is_correct(query_records[score.query_id], top1, threshold)))
     model = fit_logistic(samples)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(model.to_json() + "\n")

@@ -79,9 +79,6 @@ class Split:
     def __len__(self) -> int:
         return len(self.records)
 
-    def descriptor(self, record: GeoRecord) -> np.ndarray:
-        return self.blob.rows[record.descriptor_index]
-
     def coords(self) -> np.ndarray:
         """(n, 2) array of lat/lon in record order."""
         return np.array([(r.lat, r.lon) for r in self.records], dtype=np.float64)

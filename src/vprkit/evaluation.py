@@ -181,7 +181,7 @@ ALL_ESTIMATORS = (Estimator.L2, Estimator.PA, Estimator.SUE, Estimator.RANDOM, E
 def compute_uncertainties(shortlists: Sequence[Shortlist], estimator: Estimator,
                           db_records: Mapping[str, GeoRecord] | None = None,
                           provider: MatcherProvider | None = None,
-                          seed: int = 0, sue_top: int = 10) -> list[UncertaintyScore]:
+                          seed: int = 0) -> list[UncertaintyScore]:
     """Uncertainty scores for every query under one estimator."""
     scores = []
     for sl in shortlists:
@@ -192,15 +192,13 @@ def compute_uncertainties(shortlists: Sequence[Shortlist], estimator: Estimator,
         elif estimator is Estimator.SUE:
             if db_records is None:
                 raise ValidationError("SUE needs database records for coordinates")
-            scores.append(u_sue(sl, db_records, top=sue_top))
+            scores.append(u_sue(sl, db_records))
         elif estimator is Estimator.RANDOM:
             scores.append(u_random(sl.query_id, seed))
         elif estimator is Estimator.INLIER:
             if provider is None:
                 raise ValidationError("inlier estimator needs a matcher provider")
-            if len(sl) == 0:
-                raise ValidationError(f"query {sl.query_id!r}: empty shortlist")
-            scores.append(u_inlier(sl.query_id, sl.entries[0].db_id, provider))
+            scores.append(u_inlier(sl.query_id, sl.db_ids[0], provider))
         else:  # pragma: no cover
             raise ValidationError(f"unknown estimator {estimator}")
     return scores
@@ -215,7 +213,6 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
                       gate_threshold: float = 0.5,
                       gate_model: LogisticModel | None = None,
                       seed: int = 0,
-                      sue_top: int = 10,
                       workers: int = 1) -> EvalReport:
     """Run retrieval, full re-ranking, and adaptive gating; report all metrics.
 
@@ -228,8 +225,10 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
 
     Every system is a permutation of the same shortlist positions: each reads
     one boolean queries x positions correctness matrix per tau through its
-    own permutation, and a fired query reuses its full re-ranking order, so
-    each inlier pair is fetched once.
+    own permutation, and a fired query reuses its full re-ranking order. The
+    inlier estimator reads the top-1 count that re-ranking fetched, so each
+    inlier pair is fetched once. Only a top-1 pair whose fetch failed is
+    asked again, through ``u_inlier``, so the provider's own error names it.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
@@ -248,30 +247,40 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
 
     # correct[tau][i, j]: candidate j of query i lies within tau meters
     row = {r.id: i for i, r in enumerate(db.records)}
-    cand = db.coords()[np.array([[row[e.db_id] for e in sl.entries] for sl in shortlists])]
+    cand = db.coords()[np.array([[row[d] for d in sl.db_ids] for sl in shortlists])]
     q = queries.coords()[:, None, :]
     dists = haversine_many(q[..., 0], q[..., 1], cand[..., 0], cand[..., 1])
     correct = {tau: dists <= DistanceThreshold(tau).tau for tau in taus}
 
-    def _rerank_order(sl: Shortlist) -> list[int]:
+    def _rerank(sl: Shortlist) -> tuple[list[int], int | None]:
+        """The re-ranking order as shortlist positions, and the top-1 count."""
         try:
-            return [e.original_rank - 1 for e in rerank(sl, provider).entries]
+            rr = rerank(sl, provider)
         except ValidationError as exc:
             raise ValidationError(f"query {sl.query_id!r}: {exc}") from exc
+        return [r - 1 for r in rr.original_ranks], rr.inliers[rr.original_ranks.index(1)]
 
     if workers == 1:  # serial, so the default path starts no pool thread
-        orders = [_rerank_order(sl) for sl in shortlists]
+        reranked = [_rerank(sl) for sl in shortlists]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            orders = list(pool.map(_rerank_order, shortlists))
+            reranked = list(pool.map(_rerank, shortlists))
     retrieval_order = np.arange(dists.shape[1])[None, :]
-    rerank_order = np.array(orders)
+    rerank_order = np.array([order for order, _ in reranked])
+    top1_inliers = [count for _, count in reranked]
 
-    scores_by_estimator: dict[Estimator, list[UncertaintyScore]] = {}
-    for est in estimators:
-        scores_by_estimator[est] = compute_uncertainties(
-            shortlists, est, db_records=db_records, provider=provider,
-            seed=seed, sue_top=sue_top)
+    def _scores(est: Estimator) -> list[UncertaintyScore]:
+        if est is not Estimator.INLIER:
+            return compute_uncertainties(shortlists, est, db_records=db_records, seed=seed)
+        scores = []  # u_inlier's scores, from the counts re-ranking fetched
+        for sl, count in zip(shortlists, top1_inliers):
+            if count is None:  # fetch failed: ask again for the provider's error
+                scores.append(u_inlier(sl.query_id, sl.db_ids[0], provider))
+            else:
+                scores.append(UncertaintyScore(sl.query_id, est, -float(count)))
+        return scores
+
+    scores_by_estimator = {est: _scores(est) for est in estimators}
 
     report = EvalReport(n_queries=n_q, k=k, ks=ks, taus=taus, seed=seed)
 
@@ -295,8 +304,7 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
         gate_est = Estimator(gate_estimator)
         gate_scores = scores_by_estimator.get(gate_est)
         if gate_scores is None:
-            gate_scores = compute_uncertainties(shortlists, gate_est, db_records=db_records,
-                                                provider=provider, seed=seed, sue_top=sue_top)
+            gate_scores = _scores(gate_est)
         fitted_here = gate_model is None
         if gate_model is None:
             gate_model = fit_logistic([(s.u, not c) for s, c in zip(gate_scores, primary_top1)])

@@ -3,7 +3,8 @@
 Re-ranking permutes a shortlist (never adds or drops candidates), sorting by
 inlier count descending. Ties keep retrieval order; pairs whose count is
 unavailable sink below every counted pair, again in retrieval order, so
-absence of evidence never promotes a candidate.
+absence of evidence never promotes a candidate. The result is stored as
+columns, like the shortlist it permutes.
 
 The adaptive gate spends matching effort only when the calibrated
 probability of wrong localization exceeds the policy threshold; otherwise
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from .errors import MatcherError, MissingPairError, ValidationError
 from .matching import MatcherProvider
@@ -22,25 +22,27 @@ from .retrieval import Shortlist
 from .uncertainty import Estimator, LogisticModel, UncertaintyScore, predict_prob
 
 
-@dataclass(frozen=True)
-class RerankedEntry:
-    db_id: str
-    inliers: int | None  # None = count unavailable for this pair
-    original_rank: int  # 1-based rank in the source shortlist
-
-
 @dataclass
 class RerankedShortlist:
+    """A permuted shortlist as columns, in its new order.
+
+    ``inliers[i]`` is None when the count of that pair is unavailable, and
+    ``original_ranks[i]`` is the 1-based rank of that candidate in the source
+    shortlist. ``diagnostics`` holds (db_id, message) for every failed fetch.
+    """
+
     query_id: str
-    entries: list[RerankedEntry]
+    db_ids: list[str]
+    inliers: list[int | None]
+    original_ranks: list[int]
     gate_fired: bool
     diagnostics: list[tuple[str, str]] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.db_ids)
 
     def ids(self) -> list[str]:
-        return [e.db_id for e in self.entries]
+        return list(self.db_ids)
 
 
 @dataclass(frozen=True)
@@ -61,39 +63,26 @@ class GatePolicy:
         return predict_prob(self.model, u) > self.threshold
 
 
-def _pair_paths(query_id: str, db_id: str,
-                image_paths: Mapping[str, str] | None) -> tuple[str, str] | None:
-    if image_paths is None:
-        return None
-    try:
-        return (image_paths[query_id], image_paths[db_id])
-    except KeyError:
-        return None
-
-
-def rerank(shortlist: Shortlist, provider: MatcherProvider,
-           image_paths: Mapping[str, str] | None = None) -> RerankedShortlist:
+def rerank(shortlist: Shortlist, provider: MatcherProvider) -> RerankedShortlist:
     """Sort shortlist candidates by inlier count, descending."""
-    if len(shortlist) == 0:
-        raise ValidationError(f"query {shortlist.query_id!r}: empty shortlist")
-    staged: list[RerankedEntry] = []
+    counts: list[int | None] = []
     diagnostics: list[tuple[str, str]] = []
-    for rank, entry in enumerate(shortlist.entries, start=1):
+    for db_id in shortlist.db_ids:
         try:
-            count = provider.get_inliers(shortlist.query_id, entry.db_id,
-                                         _pair_paths(shortlist.query_id, entry.db_id, image_paths))
+            counts.append(provider.get_inliers(shortlist.query_id, db_id))
         except (MissingPairError, MatcherError) as exc:
-            count = None
-            diagnostics.append((entry.db_id, str(exc)))
-        staged.append(RerankedEntry(entry.db_id, count, rank))
-    staged.sort(key=lambda e: (e.inliers is None, -(e.inliers or 0), e.original_rank))
-    return RerankedShortlist(query_id=shortlist.query_id, entries=staged,
+            counts.append(None)
+            diagnostics.append((db_id, str(exc)))
+    order = sorted(range(len(counts)), key=lambda i: (counts[i] is None, -(counts[i] or 0), i))
+    return RerankedShortlist(query_id=shortlist.query_id,
+                             db_ids=[shortlist.db_ids[i] for i in order],
+                             inliers=[counts[i] for i in order],
+                             original_ranks=[i + 1 for i in order],
                              gate_fired=True, diagnostics=diagnostics)
 
 
 def adaptive_rerank(shortlist: Shortlist, provider: MatcherProvider, policy: GatePolicy,
-                    u: UncertaintyScore,
-                    image_paths: Mapping[str, str] | None = None) -> RerankedShortlist:
+                    u: UncertaintyScore) -> RerankedShortlist:
     """Re-rank only when the calibrated wrong-localization probability is high.
 
     When the gate stays closed no matcher call is made; the only inlier count
@@ -108,20 +97,16 @@ def adaptive_rerank(shortlist: Shortlist, provider: MatcherProvider, policy: Gat
         raise ValidationError(
             f"gate expects {policy.estimator.value!r} uncertainty, got {u.estimator.value!r}"
         )
-    if len(shortlist) == 0:
-        raise ValidationError(f"query {shortlist.query_id!r}: empty shortlist")
 
     if policy.fires(u.u):
-        return rerank(shortlist, provider, image_paths)
+        return rerank(shortlist, provider)
 
-    top1_inliers = None
+    inliers: list[int | None] = [None] * len(shortlist)
     if policy.estimator is Estimator.INLIER:
-        top1_inliers = int(round(-u.u))
-    entries = [
-        RerankedEntry(e.db_id, top1_inliers if rank == 1 else None, rank)
-        for rank, e in enumerate(shortlist.entries, start=1)
-    ]
-    return RerankedShortlist(query_id=shortlist.query_id, entries=entries, gate_fired=False)
+        inliers[0] = int(round(-u.u))
+    return RerankedShortlist(query_id=shortlist.query_id, db_ids=shortlist.ids(),
+                             inliers=inliers, original_ranks=list(range(1, len(shortlist) + 1)),
+                             gate_fired=False)
 
 
 def write_reranked_csv(reranked: list[RerankedShortlist], path) -> None:
@@ -131,7 +116,7 @@ def write_reranked_csv(reranked: list[RerankedShortlist], path) -> None:
         writer.writerow(["query_id", "new_rank", "db_id", "inliers", "original_rank", "gate_fired"])
         for rr in reranked:
             fired = "true" if rr.gate_fired else "false"
-            for new_rank, entry in enumerate(rr.entries, start=1):
-                inliers = "" if entry.inliers is None else str(entry.inliers)
-                writer.writerow([rr.query_id, new_rank, entry.db_id, inliers,
-                                 entry.original_rank, fired])
+            rows = zip(rr.db_ids, rr.inliers, rr.original_ranks)
+            for new_rank, (db_id, count, original_rank) in enumerate(rows, start=1):
+                inliers = "" if count is None else str(count)
+                writer.writerow([rr.query_id, new_rank, db_id, inliers, original_rank, fired])

@@ -4,6 +4,10 @@ Search is brute force (top-k selection over all database rows), so results
 match a full sort of the true Euclidean distances. Ties are broken by
 ascending database insertion index, which makes every shortlist
 deterministic and reproducible.
+
+A shortlist is stored as columns: its candidate ids and their distances are
+two parallel lists, nearest first, and every shortlist holds at least one
+candidate.
 """
 
 from __future__ import annotations
@@ -18,27 +22,31 @@ from .dataset import Split
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class ShortlistEntry:
-    db_id: str
-    distance: float
-
-
 @dataclass
 class Shortlist:
-    """Ranked top-k candidates for one query, nearest first."""
+    """Ranked top-k candidates for one query, nearest first, as columns."""
 
     query_id: str
-    entries: list[ShortlistEntry]
+    db_ids: list[str]
+    dists: list[float]
+
+    def __post_init__(self):
+        if not self.db_ids:
+            raise ValidationError(f"query {self.query_id!r}: empty shortlist")
+        if len(self.db_ids) != len(self.dists):
+            raise ValidationError(
+                f"query {self.query_id!r}: {len(self.db_ids)} ids but "
+                f"{len(self.dists)} distances"
+            )
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.db_ids)
 
     def ids(self) -> list[str]:
-        return [e.db_id for e in self.entries]
+        return list(self.db_ids)
 
     def distances(self) -> list[float]:
-        return [e.distance for e in self.entries]
+        return list(self.dists)
 
 
 class Index:
@@ -47,7 +55,6 @@ class Index:
     def __init__(self, split: Split):
         if len(split) == 0:
             raise ValidationError("cannot build an index over an empty database")
-        self.split = split
         self.ids = [r.id for r in split.records]
         self.dim = split.blob.dim
         # float64 working copy: distances accumulate in double precision
@@ -77,13 +84,12 @@ def _top_k_order(sq_dists: np.ndarray, k: int) -> np.ndarray:
 def _shortlist(index: Index, sq_dists: np.ndarray, k: int, query_id: str) -> Shortlist:
     """The top-k shortlist of one query from its squared distances to every row."""
     order = _top_k_order(sq_dists, min(k, len(index)))
-    dists = np.sqrt(sq_dists[order])
-    entries = [ShortlistEntry(index.ids[i], float(d)) for i, d in zip(order, dists)]
-    return Shortlist(query_id=query_id, entries=entries)
+    return Shortlist(query_id, [index.ids[i] for i in order.tolist()],
+                     np.sqrt(sq_dists[order]).tolist())
 
 
 def search(index: Index, query_descriptor: np.ndarray, k: int, query_id: str = "") -> Shortlist:
-    """Exact top-k search; returns min(k, db size) entries."""
+    """Exact top-k search; returns min(k, db size) candidates."""
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     q = np.ascontiguousarray(query_descriptor, dtype=np.float64)
@@ -114,14 +120,14 @@ def write_shortlists_csv(shortlists: list[Shortlist], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["query_id", "rank", "db_id", "distance"])
         for sl in shortlists:
-            for rank, entry in enumerate(sl.entries, start=1):
-                writer.writerow([sl.query_id, rank, entry.db_id, repr(entry.distance)])
+            for rank, (db_id, dist) in enumerate(zip(sl.db_ids, sl.dists), start=1):
+                writer.writerow([sl.query_id, rank, db_id, repr(dist)])
 
 
 def read_shortlists_csv(path) -> list[Shortlist]:
     """Read shortlists written by write_shortlists_csv, preserving order."""
     order: list[str] = []
-    grouped: dict[str, list[tuple[int, ShortlistEntry]]] = {}
+    grouped: dict[str, list[tuple[int, str, float]]] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -141,11 +147,11 @@ def read_shortlists_csv(path) -> list[Shortlist]:
             if qid not in grouped:
                 grouped[qid] = []
                 order.append(qid)
-            grouped[qid].append((rank, ShortlistEntry(db_id, dist)))
+            grouped[qid].append((rank, db_id, dist))
     shortlists = []
     for qid in order:
-        ranked = sorted(grouped[qid], key=lambda t: t[0])
-        if [r for r, _ in ranked] != list(range(1, len(ranked) + 1)):
+        ranks, db_ids, dists = zip(*sorted(grouped[qid], key=lambda t: t[0]))
+        if list(ranks) != list(range(1, len(ranks) + 1)):
             raise ValidationError(f"{path}: ranks for query {qid!r} are not 1..n")
-        shortlists.append(Shortlist(query_id=qid, entries=[e for _, e in ranked]))
+        shortlists.append(Shortlist(qid, list(db_ids), list(dists)))
     return shortlists

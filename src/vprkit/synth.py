@@ -153,7 +153,7 @@ def generate(config: SynthConfig, k: int = 100, gps_noise_m: float = 0.0) -> Syn
     for i, sl in enumerate(shortlists):
         matcher_right = rng.uniform() < config.matcher_quality
         true_id = truth[sl.query_id]
-        candidate_ids = sl.ids()
+        candidate_ids = sl.db_ids
         low = rng.integers(0, wrong_span, size=len(candidate_ids))
         for db_id, val in zip(candidate_ids, low):
             counts[(sl.query_id, db_id)] = min(int(val), WRONG_COUNT_CAP)

@@ -90,9 +90,7 @@ class LogisticModel:
 
 def u_l2(shortlist: Shortlist) -> UncertaintyScore:
     """Distance to the nearest neighbor."""
-    if len(shortlist) == 0:
-        raise ValidationError(f"query {shortlist.query_id!r}: empty shortlist")
-    return UncertaintyScore(shortlist.query_id, Estimator.L2, shortlist.entries[0].distance)
+    return UncertaintyScore(shortlist.query_id, Estimator.L2, shortlist.dists[0])
 
 
 def u_pa(shortlist: Shortlist) -> UncertaintyScore:
@@ -101,8 +99,7 @@ def u_pa(shortlist: Shortlist) -> UncertaintyScore:
         raise ValidationError(
             f"query {shortlist.query_id!r}: PA score needs at least 2 candidates"
         )
-    d1 = shortlist.entries[0].distance
-    d2 = shortlist.entries[1].distance
+    d1, d2 = shortlist.dists[0], shortlist.dists[1]
     u = 1.0 if d2 == 0.0 else d1 / d2  # two exact matches: maximal aliasing
     return UncertaintyScore(shortlist.query_id, Estimator.PA, u)
 
@@ -110,19 +107,16 @@ def u_pa(shortlist: Shortlist) -> UncertaintyScore:
 def u_sue(shortlist: Shortlist, db_records: Mapping[str, GeoRecord],
           top: int = 10, sigma: float | None = None) -> UncertaintyScore:
     """Weighted spatial variance (m^2) of the top candidates' positions."""
-    if len(shortlist) == 0:
-        raise ValidationError(f"query {shortlist.query_id!r}: empty shortlist")
     if top < 1:
         raise ValidationError(f"top must be >= 1, got {top}")
-    entries = shortlist.entries[:top]
     try:
-        recs = [db_records[e.db_id] for e in entries]
+        recs = [db_records[db_id] for db_id in shortlist.db_ids[:top]]
     except KeyError as exc:
         raise ValidationError(
             f"query {shortlist.query_id!r}: shortlist id {exc.args[0]!r} not in database"
         ) from None
 
-    d = np.array([e.distance for e in entries], dtype=np.float64)
+    d = np.array(shortlist.dists[:top], dtype=np.float64)
     if sigma is None:
         sigma = d[0] + 1e-9  # floor keeps sigma positive on exact matches
     if not sigma > 0:
@@ -154,10 +148,9 @@ def u_random(query_id: str, seed: int) -> UncertaintyScore:
     return UncertaintyScore(query_id, Estimator.RANDOM, u)
 
 
-def u_inlier(query_id: str, top1_db_id: str, provider: MatcherProvider,
-             image_paths: tuple[str, str] | None = None) -> UncertaintyScore:
+def u_inlier(query_id: str, top1_db_id: str, provider: MatcherProvider) -> UncertaintyScore:
     """Negated inlier count of the top-1 pair; missing counts propagate."""
-    count = provider.get_inliers(query_id, top1_db_id, image_paths)
+    count = provider.get_inliers(query_id, top1_db_id)
     return UncertaintyScore(query_id, Estimator.INLIER, -float(count))
 
 

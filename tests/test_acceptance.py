@@ -15,7 +15,7 @@ from vprkit.dataset import DistanceThreshold, GeoRecord, haversine_many, haversi
 from vprkit.evaluation import auprc, evaluate_pipeline, pr_curve, recall_at_k
 from vprkit.matching import InlierTable, TableProvider
 from vprkit.rerank import GatePolicy, adaptive_rerank, rerank
-from vprkit.retrieval import Shortlist, ShortlistEntry, build_index, search
+from vprkit.retrieval import Shortlist, build_index, search
 from vprkit.synth import SynthConfig, generate
 from vprkit.uncertainty import Estimator, LogisticModel, UncertaintyScore, fit_logistic, predict_prob
 
@@ -55,8 +55,8 @@ def test_01_retrieval_matches_full_sort_oracle():
             d2 += col * col
         dists = np.sqrt(d2)
         order = sorted(range(n), key=lambda i: (dists[i], i))[:k]
-        assert [e.db_id for e in got.entries] == [f"r{i}" for i in order]
-        assert [e.distance for e in got.entries] == [float(dists[i]) for i in order]
+        assert got.ids() == [f"r{i}" for i in order]
+        assert got.distances() == [float(dists[i]) for i in order]
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     ok(1, f"search equals brute-force full-sort oracle on 100 instances ({elapsed:.1f}s)")
@@ -75,7 +75,7 @@ def test_02_upper_bound_recall_is_invariant_under_rerank():
             db[rid] = GeoRecord(rid, 40.0,
                                 9.0 + east / (M_PER_DEG * math.cos(math.radians(40.0))), i)
             ids.append(rid)
-        sl = Shortlist("q", [ShortlistEntry(i, 0.01 * (r + 1)) for r, i in enumerate(ids)])
+        sl = Shortlist("q", ids, [0.01 * (r + 1) for r in range(n)])
         counts = {("q", i): int(c) for i, c in zip(ids, rng.integers(0, 9, n))
                   if rng.uniform() < 0.9}  # some pairs go missing
         reranked = rerank(sl, TableProvider(InlierTable(counts)))
@@ -92,7 +92,7 @@ def test_03_seven_vs_twentysix_inlier_inversion():
     correct = GeoRecord("good", 45.0, 7.0, 0)
     wrong = GeoRecord("bad", 45.0, 7.0 + 500.0 / (M_PER_DEG * math.cos(math.radians(45.0))), 1)
     db = {"good": correct, "bad": wrong}
-    sl = Shortlist("q", [ShortlistEntry("good", 0.2), ShortlistEntry("bad", 0.4)])
+    sl = Shortlist("q", ["good", "bad"], [0.2, 0.4])
     provider = TableProvider(InlierTable({("q", "good"): 7, ("q", "bad"): 26}))
     tau = DistanceThreshold(25.0)
     assert recall_at_k({"q": sl.ids()}, {"q": query}, db, 1, tau) == 100.0
@@ -225,7 +225,7 @@ def test_10_gate_endpoints_and_threshold_nesting():
     model = LogisticModel(w=10.0, b=-5.0, mean=0.0, std=1.0)
     scores = {sl.query_id: UncertaintyScore(
         sl.query_id, Estimator.INLIER,
-        -float(provider.get_inliers(sl.query_id, sl.entries[0].db_id))) for sl in shortlists}
+        -float(provider.get_inliers(sl.query_id, sl.ids()[0]))) for sl in shortlists}
 
     never = GatePolicy(model=model, threshold=1.0 - 1e-12)
     always = GatePolicy(model=model, threshold=1e-13)

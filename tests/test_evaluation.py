@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vprkit.dataset import DistanceThreshold, GeoRecord
-from vprkit.errors import MissingPairError, ValidationError
+from vprkit.errors import MatcherTimeout, MissingPairError, ValidationError
 from vprkit.evaluation import (
     auprc,
     compute_uncertainties,
@@ -294,6 +294,19 @@ class CountingProvider(MatcherProvider):
         return self.inner.get_inliers(query_id, db_id, image_paths)
 
 
+class TimeoutProvider(MatcherProvider):
+    """Times out on one pair and delegates every other."""
+
+    def __init__(self, inner: MatcherProvider, pair: tuple[str, str]):
+        self.inner = inner
+        self.pair = pair
+
+    def get_inliers(self, query_id, db_id, image_paths=None):
+        if (query_id, db_id) == self.pair:
+            raise MatcherTimeout(query_id, db_id, "timed out after 1.0s")
+        return self.inner.get_inliers(query_id, db_id, image_paths)
+
+
 def gated_instance(k=10):
     """A hard-regime instance, its shortlists, and an inlier gate fitted on
     its own top-1 labels that fires for some queries but not all."""
@@ -321,9 +334,9 @@ class TestEvaluateMatcherCost:
             report = evaluate_pipeline(inst.db, inst.queries, provider, k=k, ks=(1, k),
                                        taus=(25.0,), **gate)
             assert 0 < report.gate_fired < n_q
-            # full re-rank fetches n_q * k pairs, the inlier estimator the n_q
-            # top-1 pairs again; a fired query reuses its re-ranking order
-            assert provider.calls == n_q * k + n_q
+            # full re-rank fetches n_q * k pairs; the inlier estimator reads
+            # the top-1 counts among them and a fired query reuses its order
+            assert provider.calls == n_q * k
 
         # report is the fitted-model run: its adaptive rows are re-rank rows
         # exactly where adaptive_rerank fires
@@ -371,11 +384,22 @@ class TestEvaluateErrors:
     def test_missing_top1_pair_names_the_pair(self):
         inst = generate(SynthConfig(n_db=60, n_queries=20, dim=8, seed=571), k=5)
         sl = search_all(build_index(inst.db), inst.queries, 5)[3]
-        pair = (sl.query_id, sl.entries[0].db_id)
+        pair = (sl.query_id, sl.ids()[0])
         counts = {key: n for key, n in inst.inliers.counts.items() if key != pair}
         with pytest.raises(MissingPairError) as err:
             evaluate_pipeline(inst.db, inst.queries, TableProvider(InlierTable(counts)),
                               k=5, ks=(1,), gate_estimator="oracle")
+        assert (err.value.query_id, err.value.db_id) == pair
+        assert f"({pair[0]}, {pair[1]})" in str(err.value)
+
+    def test_top1_matcher_timeout_names_the_pair(self):
+        inst = generate(SynthConfig(n_db=60, n_queries=20, dim=8, seed=571), k=5)
+        sl = search_all(build_index(inst.db), inst.queries, 5)[3]
+        pair = (sl.query_id, sl.ids()[0])
+        with pytest.raises(MatcherTimeout) as err:
+            evaluate_pipeline(inst.db, inst.queries,
+                              TimeoutProvider(TableProvider(inst.inliers), pair),
+                              k=5, ks=(1,), gate_estimator="oracle", workers=2)
         assert (err.value.query_id, err.value.db_id) == pair
         assert f"({pair[0]}, {pair[1]})" in str(err.value)
 

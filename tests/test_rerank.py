@@ -3,13 +3,13 @@ import pytest
 from vprkit.errors import ValidationError
 from vprkit.matching import InlierTable, MatcherProvider, TableProvider
 from vprkit.rerank import GatePolicy, adaptive_rerank, rerank, write_reranked_csv
-from vprkit.retrieval import Shortlist, ShortlistEntry
+from vprkit.retrieval import Shortlist
 from vprkit.uncertainty import Estimator, LogisticModel, UncertaintyScore
 
 
 def shortlist(query_id, ids, distances=None):
     distances = distances or [0.1 * (i + 1) for i in range(len(ids))]
-    return Shortlist(query_id, [ShortlistEntry(i, d) for i, d in zip(ids, distances)])
+    return Shortlist(query_id, list(ids), distances)
 
 
 def table_provider(query_id, counts):
@@ -45,8 +45,8 @@ class TestRerank:
         provider = table_provider("q", {"correct": 7, "wrong": 26})
         out = rerank(sl, provider)
         assert out.ids() == ["wrong", "correct"]
-        assert [e.inliers for e in out.entries] == [26, 7]
-        assert [e.original_rank for e in out.entries] == [2, 1]
+        assert out.inliers == [26, 7]
+        assert out.original_ranks == [2, 1]
 
     def test_equal_counts_keep_retrieval_order(self):
         sl = shortlist("q", ["a", "b", "c"])
@@ -67,7 +67,7 @@ class TestRerank:
         sl = shortlist("q", ["a", "b", "c", "d"])
         out = rerank(sl, table_provider("q", {"b": 1, "d": 3}))
         assert out.ids() == ["d", "b", "a", "c"]
-        assert [e.inliers for e in out.entries] == [3, 1, None, None]
+        assert out.inliers == [3, 1, None, None]
         assert {db for db, _ in out.diagnostics} == {"a", "c"}
 
     def test_zero_count_beats_missing(self):
@@ -85,7 +85,7 @@ class TestRerank:
 
     def test_empty_shortlist_rejected(self):
         with pytest.raises(ValidationError):
-            rerank(Shortlist("q", []), table_provider("q", {}))
+            rerank(Shortlist("q", [], []), table_provider("q", {}))
 
 
 class TestAdaptiveRerank:
@@ -107,8 +107,7 @@ class TestAdaptiveRerank:
         assert not out.gate_fired
         assert out.ids() == ["a", "b", "c"]
         assert provider.calls == 0  # gating must stay lazy
-        assert out.entries[0].inliers == 30  # top-1 count already paid for by u
-        assert out.entries[1].inliers is None
+        assert out.inliers == [30, None, None]  # top-1 count already paid for by u
 
     def test_gate_closed_without_inlier_estimator_has_no_counts(self):
         sl = shortlist("q", ["a", "b"])
@@ -116,7 +115,7 @@ class TestAdaptiveRerank:
         u = UncertaintyScore("q", Estimator.L2, -100.0)
         out = adaptive_rerank(sl, table_provider("q", {}), policy, u)
         assert not out.gate_fired
-        assert all(e.inliers is None for e in out.entries)
+        assert out.inliers == [None, None]
 
     def test_estimator_mismatch_rejected(self):
         sl = shortlist("q", ["a", "b"])

@@ -5,6 +5,7 @@ import pytest
 
 from vprkit.errors import ValidationError
 from vprkit.retrieval import (
+    Shortlist,
     build_index,
     read_shortlists_csv,
     search,
@@ -29,6 +30,27 @@ def oracle_full_sort(vectors, query):
     return order, dists
 
 
+class TestShortlist:
+    def test_rejects_empty_and_unequal_columns(self):
+        with pytest.raises(ValidationError, match="'q7': empty shortlist"):
+            Shortlist("q7", [], [])
+        for ids, dists in ((["a", "b"], [0.1]), (["a"], [0.1, 0.2])):
+            with pytest.raises(ValidationError, match="'q7'"):
+                Shortlist("q7", ids, dists)
+
+    def test_search_all_columns_are_plain_lists_equal_to_oracle(self, rng):
+        db = make_split(unit_rows(rng, 40, 8))
+        queries = make_split(unit_rows(rng, 5, 8), prefix="q")
+        vectors = np.asarray(db.blob.rows, dtype=np.float64)
+        for sl, rec in zip(search_all(build_index(db), queries, 7), queries.records):
+            ids, dists = sl.ids(), sl.distances()
+            assert type(ids) is list and all(type(i) is str for i in ids)
+            assert type(dists) is list and all(type(d) is float for d in dists)
+            order, oracle = oracle_full_sort(vectors, queries.blob.rows[rec.descriptor_index])
+            assert ids == [f"r{i}" for i in order[:7]]
+            assert dists == [oracle[i] for i in order[:7]]
+
+
 class TestBuildIndex:
     def test_size(self, rng):
         split = make_split(unit_rows(rng, 5, 8))
@@ -50,8 +72,8 @@ class TestSearch:
         split = make_split(unit_rows(rng, 10, 6))
         index = build_index(split)
         sl = search(index, np.asarray(split.blob.rows[3], dtype=np.float64), 5)
-        assert sl.entries[0].db_id == "r3"
-        assert sl.entries[0].distance == 0.0
+        assert sl.ids()[0] == "r3"
+        assert sl.distances()[0] == 0.0
 
     def test_k_clamped_to_database_size(self, rng):
         split = make_split(unit_rows(rng, 50, 8))
@@ -75,8 +97,8 @@ class TestSearch:
         query = unit_rows(rng, 1, 8)[0]
         sl = search(index, query, 10)
         order, dists = oracle_full_sort(vectors, query)
-        assert [e.db_id for e in sl.entries] == [f"r{i}" for i in order[:10]]
-        assert [e.distance for e in sl.entries] == [dists[i] for i in order[:10]]
+        assert sl.ids() == [f"r{i}" for i in order[:10]]
+        assert sl.distances() == [dists[i] for i in order[:10]]
 
     def test_tie_order_follows_insertion_index(self, rng):
         rows = unit_rows(rng, 20, 8)
@@ -85,8 +107,8 @@ class TestSearch:
         split = make_split(rows)
         index = build_index(split)
         sl = search(index, np.asarray(split.blob.rows[2], dtype=np.float64), 4)
-        assert [e.db_id for e in sl.entries[:3]] == ["r2", "r7", "r15"]
-        assert sl.entries[0].distance == sl.entries[1].distance == sl.entries[2].distance == 0.0
+        assert sl.ids()[:3] == ["r2", "r7", "r15"]
+        assert sl.distances()[:3] == [0.0, 0.0, 0.0]
 
     def test_boundary_ties_resolved_like_full_sort(self, rng):
         # duplicate rows straddling the k boundary must come out in index order
@@ -97,7 +119,7 @@ class TestSearch:
         index = build_index(split)
         query = unit_rows(rng, 1, 4)[0]
         sl = search(index, query, 5)
-        assert [e.db_id for e in sl.entries] == ["r0", "r1", "r2", "r3", "r4"]
+        assert sl.ids() == ["r0", "r1", "r2", "r3", "r4"]
 
     def test_distances_non_decreasing(self, rng):
         for _ in range(50):
@@ -114,9 +136,9 @@ class TestSearch:
             query = unit_rows(rng, 1, 16)[0].astype(np.float32).astype(np.float64)
             sl = search(index, query, 40)
             by_id = {f"r{i}": i for i in range(40)}
-            for entry in sl.entries:
-                dot = float(np.dot(vectors[by_id[entry.db_id]], query))
-                assert entry.distance ** 2 == pytest.approx(2.0 - 2.0 * dot, abs=1e-5)
+            for db_id, distance in zip(sl.ids(), sl.distances()):
+                dot = float(np.dot(vectors[by_id[db_id]], query))
+                assert distance ** 2 == pytest.approx(2.0 - 2.0 * dot, abs=1e-5)
 
     def test_search_is_pure(self, rng):
         split = make_split(unit_rows(rng, 25, 8))
@@ -145,6 +167,28 @@ class TestShortlistCsv:
         db = make_split(unit_rows(rng, 30, 8))
         queries = make_split(unit_rows(rng, 4, 8), prefix="q")
         shortlists = search_all(build_index(db), queries, 5)
+        path = tmp_path / "shortlists.csv"
+        write_shortlists_csv(shortlists, path)
+        loaded = read_shortlists_csv(path)
+        assert [sl.query_id for sl in loaded] == [sl.query_id for sl in shortlists]
+        for a, b in zip(loaded, shortlists):
+            assert a.ids() == b.ids()
+            assert a.distances() == b.distances()
+
+    def test_random_round_trip_ragged_and_tied(self, tmp_path, rng):
+        shortlists = []
+        for q in range(40):
+            n = int(rng.integers(1, 15))
+            dists = np.sort(rng.uniform(0.0, 2.0, n))
+            tied = rng.uniform(size=n) < 0.3
+            for i in range(1, n):
+                if tied[i]:
+                    dists[i] = dists[i - 1]
+            dists[0] = 0.0 if q % 5 == 0 else dists[0]
+            ids = [f"d{int(j)}" for j in rng.permutation(1000)[:n]]
+            if q % 7 == 0:
+                ids[0] = 'd,"quoted"'
+            shortlists.append(Shortlist(f"q{q}", ids, dists.tolist()))
         path = tmp_path / "shortlists.csv"
         write_shortlists_csv(shortlists, path)
         loaded = read_shortlists_csv(path)

@@ -8,7 +8,7 @@ import pytest
 from vprkit.dataset import GeoRecord
 from vprkit.errors import MissingPairError, ValidationError
 from vprkit.matching import InlierTable, TableProvider
-from vprkit.retrieval import Shortlist, ShortlistEntry
+from vprkit.retrieval import Shortlist
 from vprkit.uncertainty import (
     Estimator,
     LogisticModel,
@@ -27,7 +27,7 @@ M_PER_DEG = EARTH_RADIUS_M * math.pi / 180.0
 
 
 def shortlist(*pairs, query_id="q"):
-    return Shortlist(query_id, [ShortlistEntry(db_id, d) for db_id, d in pairs])
+    return Shortlist(query_id, [db_id for db_id, _ in pairs], [d for _, d in pairs])
 
 
 class TestL2:
