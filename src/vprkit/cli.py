@@ -13,7 +13,7 @@ import sys
 from .dataset import DistanceThreshold, is_correct, load_split, read_manifest
 from .errors import ValidationError, VprError
 from .evaluation import compute_uncertainties, evaluate_pipeline, write_pr_curves_csv
-from .matching import TableProvider, load_inlier_table
+from .matching import MatcherProvider, TableProvider, load_inlier_table
 from .rerank import GatePolicy, adaptive_rerank, rerank, write_reranked_csv
 from .retrieval import build_index, read_shortlists_csv, search_all, write_shortlists_csv
 from .synth import SynthConfig, generate, write_instance
@@ -210,6 +210,21 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
+class _KnownCounts(MatcherProvider):
+    """``provider``, except that the pairs in ``known`` are not fetched again."""
+
+    def __init__(self, provider: MatcherProvider, known: dict[tuple[str, str], int]):
+        self.provider = provider
+        self.known = known
+
+    def get_inliers(self, query_id: str, db_id: str,
+                    image_paths: tuple[str, str] | None = None) -> int:
+        count = self.known.get((query_id, db_id))
+        if count is None:
+            return self.provider.get_inliers(query_id, db_id, image_paths)
+        return count
+
+
 def cmd_gate(args) -> int:
     shortlists = read_shortlists_csv(args.shortlists)
     provider = TableProvider(load_inlier_table(args.inliers))
@@ -218,6 +233,11 @@ def cmd_gate(args) -> int:
     policy = GatePolicy(model=model, threshold=args.threshold,
                         estimator=Estimator(args.estimator))
     scores = {s.query_id: s for s in _scores_for(args, shortlists, provider)}
+    if policy.estimator is Estimator.INLIER:
+        # each inlier score is its top-1 count, negated; a fired gate reuses it
+        top1 = {(sl.query_id, sl.db_ids[0]): int(round(-scores[sl.query_id].u))
+                for sl in shortlists}
+        provider = _KnownCounts(provider, top1)
     reranked = [adaptive_rerank(sl, provider, policy, scores[sl.query_id])
                 for sl in shortlists]
     write_reranked_csv(reranked, args.out)

@@ -1,9 +1,12 @@
 """Exact k-nearest-neighbor retrieval over descriptor splits.
 
-Search is brute force (top-k selection over all database rows), so results
-match a full sort of the true Euclidean distances. Ties are broken by
-ascending database insertion index, which makes every shortlist
-deterministic and reproducible.
+Results equal a full sort of the sequential float64 squared distances, with
+ties broken by ascending database insertion index, so every shortlist is
+deterministic. Queries go through ``_kernels.top_k`` BLOCK_ROWS at a time: a
+GEMM screen, then an exact re-score of every row within 2E of the k-th
+screened distance, where E = 2γ_{d+2}(max‖x‖ + ‖q‖)² is a forward error bound
+(Higham, *Accuracy and Stability of Numerical Algorithms*, §3.1). Peak memory
+grows with the block, not with the number of queries.
 
 A shortlist is stored as columns: its candidate ids and their distances are
 two parallel lists, nearest first, and every shortlist holds at least one
@@ -20,6 +23,8 @@ import numpy as np
 from . import _kernels
 from .dataset import Split
 from .errors import ValidationError
+
+BLOCK_ROWS = 32  # query rows screened per GEMM
 
 
 @dataclass
@@ -60,6 +65,7 @@ class Index:
         # float64 working copy: distances accumulate in double precision
         self._vectors = np.ascontiguousarray(split.blob.rows, dtype=np.float64)
         self._vectors.flags.writeable = False
+        self._sq_norms = np.einsum("ij,ij->i", self._vectors, self._vectors)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -69,49 +75,41 @@ def build_index(split: Split) -> Index:
     return Index(split)
 
 
-def _top_k_order(sq_dists: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest distances, distance-then-index ascending."""
-    n = sq_dists.shape[0]
-    if k >= n:
-        return np.lexsort((np.arange(n), sq_dists))
-    part = np.argpartition(sq_dists, k - 1)[:k]
-    bound = sq_dists[part].max()
-    cand = np.flatnonzero(sq_dists <= bound)  # pull in every boundary tie
-    order = cand[np.lexsort((cand, sq_dists[cand]))]
-    return order[:k]
+def _check(index: Index, k: int, query_shape: tuple[int, ...]) -> None:
+    """Reject k < 1 and a query shape other than (index.dim,)."""
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    if query_shape != (index.dim,):
+        raise ValidationError(f"query dimension mismatch: query shape {query_shape}, "
+                              f"index dim {index.dim}")
 
 
-def _shortlist(index: Index, sq_dists: np.ndarray, k: int, query_id: str) -> Shortlist:
-    """The top-k shortlist of one query from its squared distances to every row."""
-    order = _top_k_order(sq_dists, min(k, len(index)))
-    return Shortlist(query_id, [index.ids[i] for i in order.tolist()],
-                     np.sqrt(sq_dists[order]).tolist())
+def _search_rows(index: Index, queries: np.ndarray, query_ids: list[str],
+                 k: int) -> list[Shortlist]:
+    """Shortlists for the rows of ``queries``, screened BLOCK_ROWS at a time."""
+    shortlists = []
+    for lo in range(0, len(query_ids), BLOCK_ROWS):
+        block = np.asarray(queries[lo:lo + BLOCK_ROWS], dtype=np.float64)
+        rows, sq = _kernels.top_k(index._vectors, index._sq_norms, block, k)
+        for query_id, top, dists in zip(query_ids[lo:lo + BLOCK_ROWS], rows.tolist(),
+                                        np.sqrt(sq).tolist()):
+            shortlists.append(Shortlist(query_id, [index.ids[i] for i in top], dists))
+    return shortlists
 
 
 def search(index: Index, query_descriptor: np.ndarray, k: int, query_id: str = "") -> Shortlist:
     """Exact top-k search; returns min(k, db size) candidates."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    q = np.ascontiguousarray(query_descriptor, dtype=np.float64)
-    if q.ndim != 1 or q.shape[0] != index.dim:
-        raise ValidationError(
-            f"query dimension mismatch: query shape {q.shape}, index dim {index.dim}"
-        )
-    return _shortlist(index, _kernels.sq_dists(index._vectors, q), k, query_id)
+    q = np.asarray(query_descriptor, dtype=np.float64)
+    _check(index, k, q.shape)
+    if not np.isfinite(q).all():
+        raise ValidationError(f"query {query_id!r}: descriptor has non-finite values")
+    return _search_rows(index, q[None, :], [query_id], k)[0]
 
 
 def search_all(index: Index, queries: Split, k: int) -> list[Shortlist]:
     """Shortlists for every record of a query split, in split order."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    if queries.blob.dim != index.dim:
-        raise ValidationError(
-            f"query dimension mismatch: queries have {queries.blob.dim} dims, "
-            f"index has {index.dim}"
-        )
-    qmat = np.ascontiguousarray(queries.blob.rows, dtype=np.float64)
-    d2 = _kernels.sq_dists_batch(index._vectors, qmat)
-    return [_shortlist(index, row, k, rec.id) for row, rec in zip(d2, queries.records)]
+    _check(index, k, (queries.blob.dim,))
+    return _search_rows(index, queries.blob.rows, [r.id for r in queries.records], k)
 
 
 def write_shortlists_csv(shortlists: list[Shortlist], path) -> None:

@@ -44,6 +44,26 @@ def make_split(descriptors, coords=None, prefix="r"):
     return Split(records=records, blob=blob)
 
 
+def sq_dists(vectors, query):
+    """Sequential reference: squared L2 distance from ``query`` to every row,
+    accumulated in float64 one dimension at a time."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    query = np.asarray(query, dtype=np.float64)
+    acc = np.zeros(vectors.shape[0], dtype=np.float64)
+    for j in range(vectors.shape[1]):
+        diff = vectors[:, j] - query[j]
+        acc += diff * diff
+    return acc
+
+
+def full_sort_top_k(vectors, query, k):
+    """Reference search: the first k of a stable (distance, row) sort of the
+    sequential distances, as (row indices, squared distances)."""
+    d2 = sq_dists(vectors, query)
+    order = np.lexsort((np.arange(len(d2)), d2))[:k]
+    return order, d2[order]
+
+
 def unit_rows(rng, n, dim):
     mat = rng.standard_normal((n, dim))
     return mat / np.linalg.norm(mat, axis=1, keepdims=True)

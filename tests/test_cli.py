@@ -196,3 +196,37 @@ def test_gate_loads_inlier_table_once(instance_dir, tmp_path, monkeypatch):
             "--inliers", str(instance_dir / "inliers.csv"),
             "--model", str(model), "--estimator", "inlier", "--out", str(tmp_path / "g.csv")])
     assert len(calls) == 1
+
+
+def test_gate_fetches_each_pair_once(instance_dir, tmp_path, monkeypatch):
+    # the inlier score fetches every top-1 pair; a fired query then fetches
+    # only its other k - 1 pairs, reusing the count the score holds
+    k = 5
+    shortlists = tmp_path / "s.csv"
+    retrieve_to(instance_dir, shortlists, k)
+    model = tmp_path / "model.json"
+    model.write_text(LogisticModel(w=1.0, b=0.0, mean=0.0, std=1.0).to_json())
+    calls = []
+
+    class CountingProvider(cli.TableProvider):
+        def get_inliers(self, query_id, db_id, image_paths=None):
+            calls.append((query_id, db_id))
+            return super().get_inliers(query_id, db_id, image_paths)
+
+    monkeypatch.setattr(cli, "TableProvider", CountingProvider)
+    gated = tmp_path / "g.csv"
+    run_ok(["gate", "--shortlists", str(shortlists),
+            "--inliers", str(instance_dir / "inliers.csv"),
+            "--model", str(model), "--estimator", "inlier", "--threshold", "0.02",
+            "--out", str(gated)])
+    with open(gated) as fh:
+        rows = list(csv.DictReader(fh))
+    n_q = len({r["query_id"] for r in rows})
+    fired = len({r["query_id"] for r in rows if r["gate_fired"] == "true"})
+    assert 0 < fired < n_q
+    assert len(calls) == n_q + (k - 1) * fired
+    assert len(set(calls)) == len(calls)
+    table = cli.load_inlier_table(instance_dir / "inliers.csv")
+    for r in rows:
+        if r["inliers"]:
+            assert int(r["inliers"]) == table.inliers(r["query_id"], r["db_id"])

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from vprkit.dataset import DescriptorBlob, GeoRecord, Split
 from vprkit.errors import ValidationError
 from vprkit.retrieval import (
     Shortlist,
@@ -13,7 +15,7 @@ from vprkit.retrieval import (
     write_shortlists_csv,
 )
 
-from conftest import make_split, unit_rows
+from conftest import full_sort_top_k, make_split, unit_rows
 
 
 def oracle_full_sort(vectors, query):
@@ -160,6 +162,104 @@ class TestSearch:
             assert sl.query_id == rec.id
             assert sl.ids() == single.ids()
             assert sl.distances() == single.distances()
+
+
+def float64_queries(rows):
+    """A query split that keeps float64 descriptors, such as exact midpoints."""
+    rows = np.asarray(rows, dtype=np.float64)
+    records = [GeoRecord(f"q{i}", 0.0, 0.0, i) for i in range(len(rows))]
+    return Split(records, DescriptorBlob(rows.shape[1], rows))
+
+
+def assert_matches_reference(db_rows, query_rows, k):
+    """search and search_all both return the sequential full sort, bit for bit."""
+    db = make_split(db_rows)
+    index = build_index(db)
+    shortlists = search_all(index, float64_queries(query_rows), k)
+    for i, query in enumerate(np.asarray(query_rows, dtype=np.float64)):
+        rows, sq = full_sort_top_k(db.blob.rows, query, k)
+        want = ([f"r{j}" for j in rows], np.sqrt(sq).tolist())
+        one = search(index, query, k, query_id=f"q{i}")
+        assert (one.ids(), one.distances()) == want, f"search, query {i}, k={k}"
+        assert (shortlists[i].ids(), shortlists[i].distances()) == want, \
+            f"search_all, query {i}, k={k}"
+
+
+class TestExactness:
+    """The screen keeps every row the sequential loop could rank in the top
+    k, on inputs built to make the screen and the loop disagree."""
+
+    def test_exact_duplicate_rows(self, rng):
+        rows = unit_rows(rng, 120, 16)
+        for src in (3, 40, 77):
+            rows[rng.choice(120, size=6, replace=False)] = rows[src]
+        queries = np.vstack([rows[[3, 40, 77]], unit_rows(rng, 40, 16),
+                             0.5 * (rows[3] + rows[40])])
+        for k in (1, 3, 7, 10):
+            assert_matches_reference(rows, queries, k)
+
+    def test_all_identical_rows_are_all_candidates(self, rng):
+        rows = np.repeat(unit_rows(rng, 1, 12), 50, axis=0)
+        for k in (1, 7, 50, 80):
+            assert_matches_reference(rows, unit_rows(rng, 35, 12), k)
+
+    def test_midpoint_queries_are_exact_ties(self, rng):
+        # q = (a + b) / 2 is exact in float64 for float32 rows a, b, so the
+        # loop gives a and b the same distance while the screen's rounding
+        # may put b first; b sits close to a so they are the top two
+        for dim in (3, 16, 128):
+            for _ in range(3):
+                rows = unit_rows(rng, 200, dim) * rng.uniform(0.5, 2.0, size=(200, 1))
+                rows = rows.astype(np.float32)
+                a = rng.choice(200, size=40, replace=False)
+                b = (a + 1 + rng.integers(0, 198, size=40)) % 200
+                rows[b] = rows[a] + (1e-3 * rng.standard_normal((40, dim))).astype(np.float32)
+                queries = 0.5 * (rows[a].astype(np.float64) + rows[b])
+                for k in (1, 2, 3):
+                    assert_matches_reference(rows, queries, k)
+
+    def test_size_edges(self, rng):
+        rows = unit_rows(rng, 30, 8)
+        queries = unit_rows(rng, 5, 8)
+        for k in (1, 29, 30, 31, 100):
+            assert_matches_reference(rows, queries, k)
+        for k in (1, 4):
+            assert_matches_reference(rows[:1], queries, k)
+        scalars = rng.integers(-4, 5, size=(40, 1)).astype(np.float32)
+        for k in (1, 6, 40, 41):
+            assert_matches_reference(scalars, np.array([[0.0], [0.5], [3.25], [-9.0]]), k)
+
+    def test_non_finite_query_rejected_naming_it(self, rng):
+        index = build_index(make_split(unit_rows(rng, 10, 4)))
+        for bad in (np.nan, np.inf, -np.inf):
+            query = unit_rows(rng, 1, 4)[0]
+            query[2] = bad
+            with pytest.raises(ValidationError, match="'q9'.*non-finite"):
+                search(index, query, 3, query_id="q9")
+
+    def test_overflowing_query_falls_back_to_every_row(self, rng):
+        # (x - 1e200)^2 overflows, so the loop gives every row inf and the
+        # full sort keeps insertion order; the screen's bound is inf too
+        rows = unit_rows(rng, 10, 4)
+        query = np.full(4, 1e200)
+        with np.errstate(over="ignore"):
+            sl = search(build_index(make_split(rows)), query, 5)
+            assert_matches_reference(rows, np.vstack([query, -query, unit_rows(rng, 3, 4)]), 5)
+        assert sl.ids() == ["r0", "r1", "r2", "r3", "r4"]
+        assert sl.distances() == [math.inf] * 5
+
+    def test_peak_memory_bounded_by_block_not_queries(self, rng):
+        # an n_q x n_db float64 distance matrix here would take 80 MB
+        db = make_split(unit_rows(rng, 20_000, 4))
+        queries = make_split(unit_rows(rng, 500, 4), prefix="q")
+        index = build_index(db)
+        tracemalloc.start()
+        try:
+            search_all(index, queries, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 class TestShortlistCsv:
