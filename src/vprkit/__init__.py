@@ -10,8 +10,6 @@ from .dataset import (
     DistanceThreshold,
     GeoRecord,
     Split,
-    geo_distance,
-    is_correct,
     load_split,
 )
 from .errors import (
@@ -48,8 +46,6 @@ __all__ = [
     "DistanceThreshold",
     "GeoRecord",
     "Split",
-    "geo_distance",
-    "is_correct",
     "load_split",
     "MatcherError",
     "MatcherExitError",

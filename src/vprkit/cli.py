@@ -10,10 +10,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .dataset import DistanceThreshold, is_correct, load_split, read_manifest
+from .dataset import DistanceThreshold, haversine_many, load_split, read_manifest
 from .errors import ValidationError, VprError
 from .evaluation import compute_uncertainties, evaluate_pipeline, write_pr_curves_csv
-from .matching import MatcherProvider, TableProvider, load_inlier_table
+from .matching import TableProvider, _KnownCounts, load_inlier_table
 from .rerank import GatePolicy, adaptive_rerank, rerank, write_reranked_csv
 from .retrieval import build_index, read_shortlists_csv, search_all, write_shortlists_csv
 from .synth import SynthConfig, generate, write_instance
@@ -192,37 +192,25 @@ def cmd_calibrate(args) -> int:
     db_records = {r.id: r for r in read_manifest(args.db_manifest)}
     threshold = DistanceThreshold(args.tau)
 
-    samples = []
+    pairs = []
     for score in scores:
         sl = shortlists.get(score.query_id)
         if sl is None:
             raise ValidationError(f"query {score.query_id!r} has no shortlist")
-        if score.query_id not in query_records:
+        query = query_records.get(score.query_id)
+        if query is None:
             raise ValidationError(f"query {score.query_id!r} not in manifest")
         top1 = db_records.get(sl.db_ids[0])
         if top1 is None:
             raise ValidationError(f"candidate {sl.db_ids[0]!r} not in db manifest")
-        samples.append((score.u, not is_correct(query_records[score.query_id], top1, threshold)))
+        pairs.append((query.lat, query.lon, top1.lat, top1.lon))
+    wrong = haversine_many(*zip(*pairs)) > threshold.tau
+    samples = [(score.u, bool(w)) for score, w in zip(scores, wrong)]
     model = fit_logistic(samples)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(model.to_json() + "\n")
     print(f"fitted on {len(samples)} queries; model written to {args.out}")
     return 0
-
-
-class _KnownCounts(MatcherProvider):
-    """``provider``, except that the pairs in ``known`` are not fetched again."""
-
-    def __init__(self, provider: MatcherProvider, known: dict[tuple[str, str], int]):
-        self.provider = provider
-        self.known = known
-
-    def get_inliers(self, query_id: str, db_id: str,
-                    image_paths: tuple[str, str] | None = None) -> int:
-        count = self.known.get((query_id, db_id))
-        if count is None:
-            return self.provider.get_inliers(query_id, db_id, image_paths)
-        return count
 
 
 def cmd_gate(args) -> int:

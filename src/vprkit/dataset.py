@@ -177,24 +177,6 @@ def load_split(manifest_path, blob_path) -> Split:
     return Split(records=records, blob=blob)
 
 
-def geo_distance(a: GeoRecord, b: GeoRecord) -> float:
-    """Great-circle distance between two records, in meters."""
-    return haversine_m(a.lat, a.lon, b.lat, b.lon)
-
-
-def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Scalar haversine on the 6,371 km sphere."""
-    # 1-element arrays, not numpy scalars: numpy's scalar sin/cos can differ
-    # from its array loops in the last bit, and this must match haversine_many
-    out = _kernels.haversine_m(
-        np.array([lat1], dtype=np.float64),
-        np.array([lon1], dtype=np.float64),
-        np.array([lat2], dtype=np.float64),
-        np.array([lon2], dtype=np.float64),
-    )
-    return float(out[0])
-
-
 def haversine_many(lat1, lon1, lat2, lon2) -> np.ndarray:
     """Elementwise haversine over coordinate arrays (degrees in, meters out).
 
@@ -205,9 +187,3 @@ def haversine_many(lat1, lon1, lat2, lon2) -> np.ndarray:
         np.asarray(lat1, dtype=np.float64), np.asarray(lon1, dtype=np.float64),
         np.asarray(lat2, dtype=np.float64), np.asarray(lon2, dtype=np.float64),
     )
-
-
-def is_correct(query: GeoRecord, candidate: GeoRecord,
-               threshold: DistanceThreshold = DistanceThreshold()) -> bool:
-    """True iff the candidate is within tau meters of the query (inclusive)."""
-    return geo_distance(query, candidate) <= threshold.tau

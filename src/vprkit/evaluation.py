@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import DistanceThreshold, GeoRecord, Split, haversine_many
 from .errors import ValidationError
-from .matching import MatcherProvider
+from .matching import MatcherProvider, _KnownCounts
 from .rerank import GatePolicy, rerank
 from .retrieval import Shortlist, build_index, search_all
 from .uncertainty import (
@@ -225,10 +225,12 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
 
     Every system is a permutation of the same shortlist positions: each reads
     one boolean queries x positions correctness matrix per tau through its
-    own permutation, and a fired query reuses its full re-ranking order. The
-    inlier estimator reads the top-1 count that re-ranking fetched, so each
-    inlier pair is fetched once. Only a top-1 pair whose fetch failed is
-    asked again, through ``u_inlier``, so the provider's own error names it.
+    own permutation, and a fired query reuses its full re-ranking order.
+    Every estimator goes through ``compute_uncertainties`` with ``provider``
+    wrapped in a ``_KnownCounts`` that holds the top-1 counts re-ranking
+    fetched, so each inlier pair is fetched once. A top-1 pair whose fetch
+    failed is not held, so ``u_inlier`` asks ``provider`` again and the
+    provider's own error names the pair.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
@@ -267,18 +269,13 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
             reranked = list(pool.map(_rerank, shortlists))
     retrieval_order = np.arange(dists.shape[1])[None, :]
     rerank_order = np.array([order for order, _ in reranked])
-    top1_inliers = [count for _, count in reranked]
+    known = _KnownCounts(provider, {(sl.query_id, sl.db_ids[0]): count
+                                    for sl, (_, count) in zip(shortlists, reranked)
+                                    if count is not None})
 
     def _scores(est: Estimator) -> list[UncertaintyScore]:
-        if est is not Estimator.INLIER:
-            return compute_uncertainties(shortlists, est, db_records=db_records, seed=seed)
-        scores = []  # u_inlier's scores, from the counts re-ranking fetched
-        for sl, count in zip(shortlists, top1_inliers):
-            if count is None:  # fetch failed: ask again for the provider's error
-                scores.append(u_inlier(sl.query_id, sl.db_ids[0], provider))
-            else:
-                scores.append(UncertaintyScore(sl.query_id, est, -float(count)))
-        return scores
+        return compute_uncertainties(shortlists, est, db_records=db_records,
+                                     provider=known, seed=seed)
 
     scores_by_estimator = {est: _scores(est) for est in estimators}
 

@@ -34,9 +34,6 @@ class InlierTable:
     def __len__(self) -> int:
         return len(self.counts)
 
-    def __contains__(self, pair: tuple[str, str]) -> bool:
-        return pair in self.counts
-
     def inliers(self, query_id: str, db_id: str) -> int:
         try:
             return self.counts[(query_id, db_id)]
@@ -96,6 +93,21 @@ class TableProvider(MatcherProvider):
     def get_inliers(self, query_id: str, db_id: str,
                     image_paths: tuple[str, str] | None = None) -> int:
         return self.table.inliers(query_id, db_id)
+
+
+class _KnownCounts(MatcherProvider):
+    """``provider``, except that the pairs in ``known`` are not fetched again."""
+
+    def __init__(self, provider: MatcherProvider, known: dict[tuple[str, str], int]):
+        self.provider = provider
+        self.known = known
+
+    def get_inliers(self, query_id: str, db_id: str,
+                    image_paths: tuple[str, str] | None = None) -> int:
+        count = self.known.get((query_id, db_id))
+        if count is None:
+            return self.provider.get_inliers(query_id, db_id, image_paths)
+        return count
 
 
 class SubprocessProvider(MatcherProvider):

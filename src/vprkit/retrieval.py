@@ -86,10 +86,18 @@ def _check(index: Index, k: int, query_shape: tuple[int, ...]) -> None:
 
 def _search_rows(index: Index, queries: np.ndarray, query_ids: list[str],
                  k: int) -> list[Shortlist]:
-    """Shortlists for the rows of ``queries``, screened BLOCK_ROWS at a time."""
+    """Shortlists for the rows of ``queries``, screened BLOCK_ROWS at a time.
+
+    A row with a NaN or an infinity is rejected, naming its query, before
+    its block reaches the GEMM.
+    """
     shortlists = []
     for lo in range(0, len(query_ids), BLOCK_ROWS):
         block = np.asarray(queries[lo:lo + BLOCK_ROWS], dtype=np.float64)
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            bad = query_ids[lo + int(np.argmin(finite))]
+            raise ValidationError(f"query {bad!r}: descriptor has non-finite values")
         rows, sq = _kernels.top_k(index._vectors, index._sq_norms, block, k)
         for query_id, top, dists in zip(query_ids[lo:lo + BLOCK_ROWS], rows.tolist(),
                                         np.sqrt(sq).tolist()):
@@ -101,8 +109,6 @@ def search(index: Index, query_descriptor: np.ndarray, k: int, query_id: str = "
     """Exact top-k search; returns min(k, db size) candidates."""
     q = np.asarray(query_descriptor, dtype=np.float64)
     _check(index, k, q.shape)
-    if not np.isfinite(q).all():
-        raise ValidationError(f"query {query_id!r}: descriptor has non-finite values")
     return _search_rows(index, q[None, :], [query_id], k)[0]
 
 

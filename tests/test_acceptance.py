@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from vprkit.dataset import DistanceThreshold, GeoRecord, haversine_many, haversine_m
+from vprkit.dataset import DistanceThreshold, GeoRecord, haversine_many
 from vprkit.evaluation import auprc, evaluate_pipeline, pr_curve, recall_at_k
 from vprkit.matching import InlierTable, TableProvider
 from vprkit.rerank import GatePolicy, adaptive_rerank, rerank
@@ -198,7 +198,7 @@ def test_08_logistic_recovery_and_convergence():
 
 
 def test_09_geodesic_reference_and_metric_properties():
-    d = haversine_m(0.0, 0.0, 0.0, 1.0)
+    d = haversine_many(0.0, 0.0, 0.0, 1.0)
     assert d == pytest.approx(111194.93, abs=0.01)
 
     rng = np.random.default_rng(99)

@@ -1,11 +1,22 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from vprkit import cli
 from vprkit.cli import main
-from vprkit.uncertainty import LogisticModel
+from vprkit.dataset import haversine_many
+from vprkit.retrieval import Shortlist, write_shortlists_csv
+from vprkit.uncertainty import (
+    Estimator,
+    LogisticModel,
+    UncertaintyScore,
+    fit_logistic,
+    write_scores_csv,
+)
+
+from conftest import write_manifest_file
 
 
 @pytest.fixture
@@ -230,3 +241,30 @@ def test_gate_fetches_each_pair_once(instance_dir, tmp_path, monkeypatch):
     for r in rows:
         if r["inliers"]:
             assert int(r["inliers"]) == table.inliers(r["query_id"], r["db_id"])
+
+
+def test_calibrate_labels_tau_boundary_inclusively(tmp_path):
+    # one query per top-1 distance; q2's is the boundary under test
+    offsets = [0.0, 1e-4, 3e-4, 5e-3, 1e-2, 0.0]
+    us = [-10.0, -8.0, -5.0, -1.0, 0.0, -0.5]
+    qids = [f"q{i}" for i in range(len(offsets))]
+    write_manifest_file(tmp_path / "q.jsonl", [(q, 45.0, 7.0) for q in qids])
+    write_manifest_file(tmp_path / "db.jsonl",
+                        [(f"d{i}", 45.0, 7.0 + off) for i, off in enumerate(offsets)])
+    write_shortlists_csv([Shortlist(q, [f"d{i}"], [0.5]) for i, q in enumerate(qids)],
+                         tmp_path / "s.csv")
+    write_scores_csv([UncertaintyScore(q, Estimator.L2, u) for q, u in zip(qids, us)],
+                     tmp_path / "scores.csv")
+    dists = haversine_many([45.0] * len(offsets), [7.0] * len(offsets),
+                           [45.0] * len(offsets), [7.0 + off for off in offsets])
+    tau = float(dists[2])
+    for tau_arg, q2_wrong in ((tau, False), (float(np.nextafter(tau, 0.0)), True)):
+        out = tmp_path / "model.json"
+        run_ok(["calibrate", "--scores", str(tmp_path / "scores.csv"),
+                "--shortlists", str(tmp_path / "s.csv"),
+                "--query-manifest", str(tmp_path / "q.jsonl"),
+                "--db-manifest", str(tmp_path / "db.jsonl"),
+                "--estimator", "l2", "--tau", repr(tau_arg), "--out", str(out)])
+        wrong = [False, False, q2_wrong, True, True, False]
+        expected = fit_logistic(list(zip(us, wrong)))
+        assert out.read_text() == expected.to_json() + "\n"

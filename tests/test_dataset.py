@@ -5,11 +5,7 @@ import pytest
 
 from vprkit.dataset import (
     DistanceThreshold,
-    GeoRecord,
-    geo_distance,
-    haversine_m,
     haversine_many,
-    is_correct,
     load_split,
     read_blob,
     write_blob,
@@ -28,10 +24,6 @@ def _oracle_haversine(lat1, lon1, lat2, lon2):
     dl = math.radians(lon2 - lon1)
     a = math.sin(dp / 2) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dl / 2) ** 2
     return 2.0 * 6_371_000.0 * math.atan2(math.sqrt(a), math.sqrt(1.0 - a))
-
-
-def _rec(rid, lat, lon):
-    return GeoRecord(id=rid, lat=lat, lon=lon, descriptor_index=0)
 
 
 class TestLoadSplit:
@@ -122,39 +114,39 @@ class TestLoadSplit:
 
 class TestGeoDistance:
     def test_identity_is_zero(self):
-        assert geo_distance(_rec("a", 0.0, 0.0), _rec("b", 0.0, 0.0)) == 0.0
+        assert haversine_many(0.0, 0.0, 0.0, 0.0) == 0.0
 
     def test_one_degree_on_equator(self):
-        d = geo_distance(_rec("a", 0.0, 0.0), _rec("b", 0.0, 1.0))
+        d = haversine_many(0.0, 0.0, 0.0, 1.0)
         assert d == pytest.approx(111194.93, abs=0.01)
         assert d == pytest.approx(ONE_DEGREE_EQUATOR_M, rel=1e-12)
 
     def test_matches_independent_oracle(self):
-        d = haversine_m(10.5, 20.25, 10.5004, 20.2504)
+        d = haversine_many(10.5, 20.25, 10.5004, 20.2504)
         assert d == pytest.approx(_oracle_haversine(10.5, 20.25, 10.5004, 20.2504), rel=1e-6)
 
     def test_symmetry_over_random_pairs(self, rng):
         lats = rng.uniform(-90, 90, (1000, 2))
         lons = rng.uniform(-180, 180, (1000, 2))
-        for (la1, la2), (lo1, lo2) in zip(lats, lons):
-            assert haversine_m(la1, lo1, la2, lo2) == haversine_m(la2, lo2, la1, lo1)
+        ab = haversine_many(lats[:, 0], lons[:, 0], lats[:, 1], lons[:, 1])
+        ba = haversine_many(lats[:, 1], lons[:, 1], lats[:, 0], lons[:, 0])
+        np.testing.assert_array_equal(ab, ba)
 
     def test_triangle_inequality(self, rng):
         lats = rng.uniform(-90, 90, (1000, 3))
         lons = rng.uniform(-180, 180, (1000, 3))
-        for (la1, la2, la3), (lo1, lo2, lo3) in zip(lats, lons):
-            d_ac = haversine_m(la1, lo1, la3, lo3)
-            d_ab = haversine_m(la1, lo1, la2, lo2)
-            d_bc = haversine_m(la2, lo2, la3, lo3)
-            assert d_ac <= d_ab + d_bc + 1e-6 * max(d_ac, 1.0)
+        d_ac = haversine_many(lats[:, 0], lons[:, 0], lats[:, 2], lons[:, 2])
+        d_ab = haversine_many(lats[:, 0], lons[:, 0], lats[:, 1], lons[:, 1])
+        d_bc = haversine_many(lats[:, 1], lons[:, 1], lats[:, 2], lons[:, 2])
+        assert np.all(d_ac <= d_ab + d_bc + 1e-6 * np.maximum(d_ac, 1.0))
 
     def test_random_pairs_match_oracle(self, rng):
         lats = rng.uniform(-90, 90, (200, 2))
         lons = rng.uniform(-180, 180, (200, 2))
-        for (la1, la2), (lo1, lo2) in zip(lats, lons):
-            got = haversine_m(la1, lo1, la2, lo2)
+        got = haversine_many(lats[:, 0], lons[:, 0], lats[:, 1], lons[:, 1])
+        for d, (la1, la2), (lo1, lo2) in zip(got, lats, lons):
             want = _oracle_haversine(la1, lo1, la2, lo2)
-            assert got == pytest.approx(want, rel=1e-6, abs=1e-6)
+            assert d == pytest.approx(want, rel=1e-6, abs=1e-6)
 
     def test_many_broadcasts_a_scalar_query(self, rng):
         near_lat = 48.5 + rng.normal(size=500) * 1e-4
@@ -162,43 +154,8 @@ class TestGeoDistance:
         full = haversine_many(np.full(500, 48.5), np.full(500, 2.25), near_lat, near_lon)
         assert haversine_many(48.5, 2.25, near_lat, near_lon).tobytes() == full.tobytes()
 
-    def test_scalar_matches_many_bit_for_bit(self, rng):
-        # is_correct (calibrate) and haversine_many (evaluate) must label the
-        # same pair alike at the tau boundary
-        lats = rng.uniform(-90, 90, (10000, 2))
-        lons = rng.uniform(-180, 180, (10000, 2))
-        many = haversine_many(lats[:, 0], lons[:, 0], lats[:, 1], lons[:, 1])
-        one = [haversine_m(la1, lo1, la2, lo2) for (la1, la2), (lo1, lo2) in zip(lats, lons)]
-        assert np.array(one).tobytes() == many.tobytes()
 
-
-class TestIsCorrect:
-    def test_zero_distance(self):
-        assert is_correct(_rec("q", 10.0, 10.0), _rec("d", 10.0, 10.0), DistanceThreshold(25))
-
-    def test_boundary_is_inclusive(self):
-        a = _rec("q", 0.0, 0.0)
-        b = _rec("d", 0.0, 25.0 / ONE_DEGREE_EQUATOR_M)
-        d = geo_distance(a, b)
-        assert is_correct(a, b, DistanceThreshold(d))
-
-    def test_beyond_tau_fails_until_tau_grows(self):
-        a = _rec("q", 0.0, 0.0)
-        b = _rec("d", 0.0, 26.0 / ONE_DEGREE_EQUATOR_M)
-        assert geo_distance(a, b) == pytest.approx(26.0, abs=1e-6)
-        assert not is_correct(a, b, DistanceThreshold(25))
-        assert is_correct(a, b, DistanceThreshold(100))
-
-    def test_monotone_in_tau(self, rng):
-        for _ in range(200):
-            a = _rec("q", float(rng.uniform(-89, 89)), float(rng.uniform(-179, 179)))
-            b = _rec("d", a.lat + float(rng.normal(0, 0.0005)),
-                     a.lon + float(rng.normal(0, 0.0005)))
-            tau = float(rng.uniform(1.0, 120.0))
-            if is_correct(a, b, DistanceThreshold(tau)):
-                assert is_correct(a, b, DistanceThreshold(tau * 2))
-                assert is_correct(a, b, DistanceThreshold(tau + 50))
-
+class TestDistanceThreshold:
     def test_tau_must_be_positive(self):
         with pytest.raises(ValidationError):
             DistanceThreshold(0.0)

@@ -237,6 +237,15 @@ class TestExactness:
             with pytest.raises(ValidationError, match="'q9'.*non-finite"):
                 search(index, query, 3, query_id="q9")
 
+    def test_search_all_rejects_non_finite_query_naming_it(self, rng):
+        # row 35 lies in the second block of BLOCK_ROWS = 32
+        index = build_index(make_split(unit_rows(rng, 10, 4)))
+        for bad in (np.nan, np.inf):
+            rows = unit_rows(rng, 40, 4)
+            rows[35, 1] = bad
+            with pytest.raises(ValidationError, match="'q35'.*non-finite"):
+                search_all(index, make_split(rows, prefix="q"), 3)
+
     def test_overflowing_query_falls_back_to_every_row(self, rng):
         # (x - 1e200)^2 overflows, so the loop gives every row inf and the
         # full sort keeps insertion order; the screen's bound is inf too

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vprkit.dataset import DistanceThreshold, geo_distance, load_split
+from vprkit.dataset import DistanceThreshold, haversine_many, load_split
 from vprkit.errors import ValidationError
 from vprkit.evaluation import evaluate_pipeline
 from vprkit.matching import TableProvider, load_inlier_table
@@ -44,16 +44,16 @@ class TestGenerate:
     def test_ground_truth_unambiguous(self):
         inst = generate(small_config(), k=10)
         tau = DistanceThreshold(25.0)
-        for q in inst.queries.records:
-            within = [d for d in inst.db.records if geo_distance(q, d) <= tau.tau]
+        db = inst.db.coords()
+        for i, q in enumerate(inst.queries.records):
+            dists = haversine_many(q.lat, q.lon, db[:, 0], db[:, 1])
+            within = np.flatnonzero(dists <= tau.tau)
             assert len(within) == 1
-            assert within[0].id == inst.truth[q.id]
-            assert geo_distance(q, within[0]) <= 5.0
-        # distractors stay far beyond 3 * tau
-        for q in inst.queries.records[:10]:
-            others = [geo_distance(q, d) for d in inst.db.records
-                      if d.id != inst.truth[q.id]]
-            assert min(others) >= 75.0
+            assert inst.db.records[within[0]].id == inst.truth[q.id]
+            assert dists[within[0]] <= 5.0
+            # distractors stay far beyond 3 * tau
+            if i < 10:
+                assert np.delete(dists, within[0]).min() >= 75.0
 
     def test_descriptors_unit_norm(self):
         inst = generate(small_config(), k=5)
@@ -93,10 +93,11 @@ class TestGenerate:
     def test_gps_noise_breaks_clean_labels(self):
         noisy = generate(small_config(target_retrieval_r1=1.0), k=10, gps_noise_m=60.0)
         tau = DistanceThreshold(25.0)
-        broken = sum(
-            1 for q in noisy.queries.records
-            if geo_distance(q, noisy.db.by_id[noisy.truth[q.id]]) > tau.tau
-        )
+        truth = [noisy.db.by_id[noisy.truth[q.id]] for q in noisy.queries.records]
+        dists = haversine_many([q.lat for q in noisy.queries.records],
+                               [q.lon for q in noisy.queries.records],
+                               [d.lat for d in truth], [d.lon for d in truth])
+        broken = int(np.count_nonzero(dists > tau.tau))
         assert broken > 0
 
 
