@@ -2,7 +2,7 @@
 
 Subcommands mirror the pipeline stages: synth, retrieve, rerank,
 uncertainty, calibrate, gate, evaluate. All file paths are explicit flags.
-Exit codes: 0 success, 1 validation error, 2 I/O error.
+Exit codes: 0 success, 1 validation error, 2 I/O or command-line usage error.
 """
 
 from __future__ import annotations
@@ -25,20 +25,22 @@ from .uncertainty import (
     write_scores_csv,
 )
 
-ESTIMATOR_NAMES = [e.value for e in Estimator]
+# Each subparser names the shared flags its command reads, and also --k and
+# --seed where unread: perfbench/run.py passes both to every staged command.
+_SHARED = {
+    "tau": dict(type=float, default=25.0,
+                help="correctness distance threshold in meters (default 25)"),
+    "k": dict(type=int, default=100, help="shortlist length (default 100)"),
+    "seed": dict(type=int, default=0, help="seed for randomized components (default 0)"),
+    "estimator": dict(type=Estimator, choices=Estimator, default=Estimator.INLIER,
+                      help="uncertainty estimator (default inlier)"),
+    "threshold": dict(type=float, default=0.5, help="gate probability threshold (default 0.5)"),
+}
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tau", type=float, default=25.0,
-                        help="correctness distance threshold in meters (default 25)")
-    parser.add_argument("--k", type=int, default=100,
-                        help="shortlist length (default 100)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized components (default 0)")
-    parser.add_argument("--estimator", choices=ESTIMATOR_NAMES, default="inlier",
-                        help="uncertainty estimator (default inlier)")
-    parser.add_argument("--threshold", type=float, default=0.5,
-                        help="gate probability threshold (default 0.5)")
+def _add_shared(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(f"--{name}", **_SHARED[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic instance on disk")
-    _add_common(p)
+    _add_shared(p, "k", "seed")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--n-db", type=int, default=1500)
     p.add_argument("--n-queries", type=int, default=1000)
@@ -62,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("retrieve", help="exact top-k retrieval to a shortlist CSV")
-    _add_common(p)
+    _add_shared(p, "k", "seed")
     p.add_argument("--db-manifest", required=True)
     p.add_argument("--db-blob", required=True)
     p.add_argument("--query-manifest", required=True)
@@ -71,14 +73,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_retrieve)
 
     p = sub.add_parser("rerank", help="re-rank shortlists by inlier count")
-    _add_common(p)
+    _add_shared(p, "k", "seed")
     p.add_argument("--shortlists", required=True)
     p.add_argument("--inliers", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_rerank)
 
     p = sub.add_parser("uncertainty", help="per-query uncertainty scores to CSV")
-    _add_common(p)
+    _add_shared(p, "k", "seed", "estimator")
     p.add_argument("--shortlists", required=True)
     p.add_argument("--inliers", help="inlier CSV (needed for the inlier estimator)")
     p.add_argument("--db-manifest", help="database manifest (needed for SUE)")
@@ -87,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_uncertainty)
 
     p = sub.add_parser("calibrate", help="fit a logistic wrong-localization model")
-    _add_common(p)
+    _add_shared(p, "tau", "k", "seed", "estimator")
     p.add_argument("--scores", required=True, help="uncertainty scores CSV")
     p.add_argument("--shortlists", required=True)
     p.add_argument("--query-manifest", required=True)
@@ -96,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("gate", help="adaptively re-rank only uncertain queries")
-    _add_common(p)
+    _add_shared(p, "k", "seed", "estimator", "threshold")
     p.add_argument("--shortlists", required=True)
     p.add_argument("--inliers", required=True)
     p.add_argument("--model", required=True, help="logistic model JSON")
@@ -105,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gate)
 
     p = sub.add_parser("evaluate", help="full evaluation report")
-    _add_common(p)
+    _add_shared(p, "tau", "k", "seed", "estimator", "threshold")
     p.add_argument("--db-manifest", required=True)
     p.add_argument("--db-blob", required=True)
     p.add_argument("--query-manifest", required=True)
@@ -156,34 +158,37 @@ def cmd_rerank(args) -> int:
 def _scores_for(args, shortlists, provider=None):
     """Scores under ``args.estimator``; the inlier table is loaded only when
     the estimator needs it and the caller has not already built a provider."""
-    estimator = Estimator(args.estimator)
-    if estimator is Estimator.INLIER and provider is None:
+    if args.estimator is Estimator.INLIER and provider is None:
         if not args.inliers:
             raise ValidationError("the inlier estimator requires --inliers")
         provider = TableProvider(load_inlier_table(args.inliers))
     db_records = None
-    if estimator is Estimator.SUE:
+    if args.estimator is Estimator.SUE:
         if not args.db_manifest:
             raise ValidationError("the sue estimator requires --db-manifest")
         db_records = {r.id: r for r in read_manifest(args.db_manifest)}
-    return compute_uncertainties(shortlists, estimator, db_records=db_records,
+    return compute_uncertainties(shortlists, args.estimator, db_records=db_records,
                                  provider=provider, seed=args.seed)
+
+
+def _read_model(path) -> LogisticModel | None:
+    """The logistic model JSON at ``path``; None when no path is given."""
+    if not path:
+        return None
+    with open(path, "r", encoding="utf-8") as fh:
+        return LogisticModel.from_json(fh.read())
 
 
 def cmd_uncertainty(args) -> int:
     shortlists = read_shortlists_csv(args.shortlists)
     scores = _scores_for(args, shortlists)
-    model = None
-    if args.model:
-        with open(args.model, "r", encoding="utf-8") as fh:
-            model = LogisticModel.from_json(fh.read())
-    write_scores_csv(scores, args.out, model=model)
+    write_scores_csv(scores, args.out, model=_read_model(args.model))
     print(f"wrote {len(scores)} scores to {args.out}")
     return 0
 
 
 def cmd_calibrate(args) -> int:
-    estimator = Estimator(args.estimator)
+    estimator = args.estimator
     scores = [s for s in read_scores_csv(args.scores) if s.estimator is estimator]
     if not scores:
         raise ValidationError(f"no {estimator.value!r} scores found in {args.scores}")
@@ -216,10 +221,8 @@ def cmd_calibrate(args) -> int:
 def cmd_gate(args) -> int:
     shortlists = read_shortlists_csv(args.shortlists)
     provider = TableProvider(load_inlier_table(args.inliers))
-    with open(args.model, "r", encoding="utf-8") as fh:
-        model = LogisticModel.from_json(fh.read())
-    policy = GatePolicy(model=model, threshold=args.threshold,
-                        estimator=Estimator(args.estimator))
+    policy = GatePolicy(model=_read_model(args.model), threshold=args.threshold,
+                        estimator=args.estimator)
     scores = {s.query_id: s for s in _scores_for(args, shortlists, provider)}
     if policy.estimator is Estimator.INLIER:
         # each inlier score is its top-1 count, negated; a fired gate reuses it
@@ -238,15 +241,10 @@ def cmd_evaluate(args) -> int:
     db = load_split(args.db_manifest, args.db_blob)
     queries = load_split(args.query_manifest, args.query_blob)
     provider = TableProvider(load_inlier_table(args.inliers))
-    model = None
-    if args.model:
-        with open(args.model, "r", encoding="utf-8") as fh:
-            model = LogisticModel.from_json(fh.read())
-    gate_estimator = "oracle" if args.oracle_gate else Estimator(args.estimator)
     report = evaluate_pipeline(
         db, queries, provider, k=args.k, taus=(args.tau,),
-        gate_estimator=gate_estimator, gate_threshold=args.threshold,
-        gate_model=model, seed=args.seed)
+        gate_estimator="oracle" if args.oracle_gate else args.estimator,
+        gate_threshold=args.threshold, gate_model=_read_model(args.model), seed=args.seed)
     sys.stdout.write(report.to_text())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

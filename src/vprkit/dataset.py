@@ -27,12 +27,11 @@ EARTH_RADIUS_M = _kernels.EARTH_RADIUS_M
 
 @dataclass(frozen=True)
 class GeoRecord:
-    """One image identity: unique id, WGS84 position, row in the blob."""
+    """One image identity: unique id, WGS84 position; its list position is its blob row."""
 
     id: str
     lat: float
     lon: float
-    descriptor_index: int
 
     def __post_init__(self):
         if not (-90.0 <= self.lat <= 90.0):
@@ -45,12 +44,15 @@ class GeoRecord:
 class DescriptorBlob:
     """Row-major float32 descriptor matrix, unit-norm rows after ingestion."""
 
-    dim: int
     rows: np.ndarray
     renormalized: bool = False
 
     def __len__(self) -> int:
         return self.rows.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.rows.shape[1]
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,7 @@ class Split:
 
 
 def read_manifest(path) -> list[GeoRecord]:
-    """Parse a JSONL manifest; line order defines descriptor_index."""
+    """Parse a JSONL manifest; line order defines each record's blob row."""
     records: list[GeoRecord] = []
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
@@ -112,7 +114,7 @@ def read_manifest(path) -> list[GeoRecord]:
             if rid in seen:
                 raise ValidationError(f"{path}: line {lineno}: duplicate id {rid!r}")
             seen.add(rid)
-            records.append(GeoRecord(id=rid, lat=lat, lon=lon, descriptor_index=len(records)))
+            records.append(GeoRecord(id=rid, lat=lat, lon=lon))
     return records
 
 
@@ -151,7 +153,7 @@ def read_blob(path) -> DescriptorBlob:
         rows = rows.copy()
         rows[off] = (rows[off].astype(np.float64) / norms[off, None]).astype(np.float32)
     rows.flags.writeable = False
-    return DescriptorBlob(dim=int(dim), rows=rows, renormalized=renormalized)
+    return DescriptorBlob(rows=rows, renormalized=renormalized)
 
 
 def write_blob(rows: np.ndarray, path) -> None:

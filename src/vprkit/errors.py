@@ -23,10 +23,10 @@ class MissingPairError(VprError):
     uncertain) measurement and must never be fabricated for missing pairs.
     """
 
-    def __init__(self, query_id: str, db_id: str, reason: str = "pair not in table"):
+    def __init__(self, query_id: str, db_id: str):
         self.query_id = query_id
         self.db_id = db_id
-        super().__init__(f"no inlier count for ({query_id}, {db_id}): {reason}")
+        super().__init__(f"no inlier count for ({query_id}, {db_id}): pair not in table")
 
 
 class MatcherError(VprError):

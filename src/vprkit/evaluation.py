@@ -160,9 +160,9 @@ def _tau_key(tau: float) -> str:
     return repr(float(tau))
 
 
-def write_pr_curves_csv(report: EvalReport, path, tau: float | None = None) -> None:
-    """CSV export of PR curves: estimator,recall,precision."""
-    key = _tau_key(tau if tau is not None else report.taus[0])
+def write_pr_curves_csv(report: EvalReport, path) -> None:
+    """CSV export of the PR curves at the report's first tau: estimator,recall,precision."""
+    key = _tau_key(report.taus[0])
     try:
         curves = report.pr_curves[key]
     except KeyError:

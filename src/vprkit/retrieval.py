@@ -146,7 +146,7 @@ def read_shortlists_csv(path) -> list[Shortlist]:
                 dist = float(dist_s)
             except ValueError:
                 raise ValidationError(f"{path}: line {lineno}: bad rank or distance") from None
-            if rank < 1 or dist < 0:
+            if rank < 1 or not dist >= 0:  # NaN fails every comparison
                 raise ValidationError(f"{path}: line {lineno}: rank/distance out of range")
             if qid not in grouped:
                 grouped[qid] = []

@@ -29,7 +29,6 @@ QUERY_OFFSET_MAX_M = 4.0
 M_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0
 
 HIGH_COUNT_BASE = 50
-WRONG_COUNT_CAP = 40
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,7 @@ def generate(config: SynthConfig, k: int = 100, gps_noise_m: float = 0.0) -> Syn
             M_PER_DEG_LAT * math.cos(math.radians(BASE_LAT)))
     db_ids = [f"db_{i:05d}" for i in range(config.n_db)]
     db_records = [
-        GeoRecord(id=db_ids[i], lat=float(db_lat[i]), lon=float(db_lon[i]), descriptor_index=i)
+        GeoRecord(id=db_ids[i], lat=float(db_lat[i]), lon=float(db_lon[i]))
         for i in range(config.n_db)
     ]
     db_desc = _unit_rows(rng.standard_normal((config.n_db, config.dim)))
@@ -117,7 +116,7 @@ def generate(config: SynthConfig, k: int = 100, gps_noise_m: float = 0.0) -> Syn
         M_PER_DEG_LAT * math.cos(math.radians(BASE_LAT)))
     query_ids = [f"q_{i:05d}" for i in range(config.n_queries)]
     query_records = [
-        GeoRecord(id=query_ids[i], lat=float(q_lat[i]), lon=float(q_lon[i]), descriptor_index=i)
+        GeoRecord(id=query_ids[i], lat=float(q_lat[i]), lon=float(q_lon[i]))
         for i in range(config.n_queries)
     ]
 
@@ -140,10 +139,8 @@ def generate(config: SynthConfig, k: int = 100, gps_noise_m: float = 0.0) -> Syn
             q_desc[i] = 0.80 * db_desc[j] + 0.55 * true_vec + 0.24 * noise[i]
     q_desc = _unit_rows(q_desc)
 
-    db_split = Split(records=db_records,
-                     blob=_frozen_blob(db_desc.astype(np.float32), config.dim))
-    query_split = Split(records=query_records,
-                        blob=_frozen_blob(q_desc.astype(np.float32), config.dim))
+    db_split = Split(records=db_records, blob=_frozen_blob(db_desc.astype(np.float32)))
+    query_split = Split(records=query_records, blob=_frozen_blob(q_desc.astype(np.float32)))
 
     shortlists = search_all(build_index(db_split), query_split, k)
 
@@ -156,7 +153,7 @@ def generate(config: SynthConfig, k: int = 100, gps_noise_m: float = 0.0) -> Syn
         candidate_ids = sl.db_ids
         low = rng.integers(0, wrong_span, size=len(candidate_ids))
         for db_id, val in zip(candidate_ids, low):
-            counts[(sl.query_id, db_id)] = min(int(val), WRONG_COUNT_CAP)
+            counts[(sl.query_id, db_id)] = int(val)
         if true_id in candidate_ids:
             if matcher_right:
                 counts[(sl.query_id, true_id)] = HIGH_COUNT_BASE + int(rng.integers(0, 50))
@@ -168,10 +165,10 @@ def generate(config: SynthConfig, k: int = 100, gps_noise_m: float = 0.0) -> Syn
                          inliers=InlierTable(counts=counts), truth=truth)
 
 
-def _frozen_blob(rows32: np.ndarray, dim: int) -> DescriptorBlob:
+def _frozen_blob(rows32: np.ndarray) -> DescriptorBlob:
     rows32 = np.ascontiguousarray(rows32, dtype=np.float32)
     rows32.flags.writeable = False
-    return DescriptorBlob(dim=dim, rows=rows32)
+    return DescriptorBlob(rows=rows32)
 
 
 def write_instance(instance: SynthInstance, out_dir) -> dict[str, str]:

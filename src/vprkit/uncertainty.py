@@ -253,7 +253,7 @@ def write_scores_csv(scores: Iterable[UncertaintyScore], path,
 def read_scores_csv(path) -> list[UncertaintyScore]:
     import csv
 
-    scores = []
+    scores: dict[tuple[str, Estimator], UncertaintyScore] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -264,7 +264,10 @@ def read_scores_csv(path) -> list[UncertaintyScore]:
                 raise ValidationError(f"{path}: line {lineno}: expected 4 fields")
             qid, est, u_s, _prob = row
             try:
-                scores.append(UncertaintyScore(qid, Estimator(est), float(u_s)))
+                score = UncertaintyScore(qid, Estimator(est), float(u_s))
             except ValueError:
                 raise ValidationError(f"{path}: line {lineno}: bad estimator or u value") from None
-    return scores
+            if (qid, score.estimator) in scores:
+                raise ValidationError(f"{path}: line {lineno}: duplicate score ({qid}, {est})")
+            scores[qid, score.estimator] = score
+    return list(scores.values())

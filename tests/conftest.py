@@ -37,10 +37,10 @@ def make_split(descriptors, coords=None, prefix="r"):
     if coords is None:
         coords = [(0.0, 0.0)] * n
     records = [
-        GeoRecord(id=f"{prefix}{i}", lat=coords[i][0], lon=coords[i][1], descriptor_index=i)
+        GeoRecord(id=f"{prefix}{i}", lat=coords[i][0], lon=coords[i][1])
         for i in range(n)
     ]
-    blob = DescriptorBlob(dim=descriptors.shape[1], rows=descriptors)
+    blob = DescriptorBlob(rows=descriptors)
     return Split(records=records, blob=blob)
 
 

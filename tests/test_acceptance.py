@@ -66,14 +66,14 @@ def test_02_upper_bound_recall_is_invariant_under_rerank():
     rng = np.random.default_rng(7)
     for trial in range(1000):
         n = int(rng.integers(1, 21))
-        query = GeoRecord("q", 40.0, 9.0, 0)
+        query = GeoRecord("q", 40.0, 9.0)
         db = {}
         ids = []
         for i in range(n):
             rid = f"d{i}"
             east = float(rng.uniform(0, 120))
             db[rid] = GeoRecord(rid, 40.0,
-                                9.0 + east / (M_PER_DEG * math.cos(math.radians(40.0))), i)
+                                9.0 + east / (M_PER_DEG * math.cos(math.radians(40.0))))
             ids.append(rid)
         sl = Shortlist("q", ids, [0.01 * (r + 1) for r in range(n)])
         counts = {("q", i): int(c) for i, c in zip(ids, rng.integers(0, 9, n))
@@ -88,9 +88,9 @@ def test_02_upper_bound_recall_is_invariant_under_rerank():
 
 def test_03_seven_vs_twentysix_inlier_inversion():
     # correct top-1 with 7 inliers, wrong runner-up with 26: re-ranking flips them
-    query = GeoRecord("q", 45.0, 7.0, 0)
-    correct = GeoRecord("good", 45.0, 7.0, 0)
-    wrong = GeoRecord("bad", 45.0, 7.0 + 500.0 / (M_PER_DEG * math.cos(math.radians(45.0))), 1)
+    query = GeoRecord("q", 45.0, 7.0)
+    correct = GeoRecord("good", 45.0, 7.0)
+    wrong = GeoRecord("bad", 45.0, 7.0 + 500.0 / (M_PER_DEG * math.cos(math.radians(45.0))))
     db = {"good": correct, "bad": wrong}
     sl = Shortlist("q", ["good", "bad"], [0.2, 0.4])
     provider = TableProvider(InlierTable({("q", "good"): 7, ("q", "bad"): 26}))
@@ -219,9 +219,8 @@ def test_10_gate_endpoints_and_threshold_nesting():
                                 matcher_quality=0.9, seed=4242), k=20)
     provider = TableProvider(inst.inliers)
     index = build_index(inst.db)
-    shortlists = [search(index, np.asarray(inst.queries.blob.rows[r.descriptor_index],
-                                           dtype=np.float64), 20, query_id=r.id)
-                  for r in inst.queries.records]
+    shortlists = [search(index, np.asarray(row, dtype=np.float64), 20, query_id=r.id)
+                  for r, row in zip(inst.queries.records, inst.queries.blob.rows)]
     model = LogisticModel(w=10.0, b=-5.0, mean=0.0, std=1.0)
     scores = {sl.query_id: UncertaintyScore(
         sl.query_id, Estimator.INLIER,

@@ -243,6 +243,24 @@ def test_gate_fetches_each_pair_once(instance_dir, tmp_path, monkeypatch):
             assert int(r["inliers"]) == table.inliers(r["query_id"], r["db_id"])
 
 
+def test_calibrate_rejects_a_repeated_score_row(instance_dir, tmp_path, capsys):
+    shortlists = tmp_path / "s.csv"
+    retrieve_to(instance_dir, shortlists, 5)
+    scores = tmp_path / "scores.csv"
+    run_ok(["uncertainty", "--shortlists", str(shortlists), "--estimator", "l2",
+            "--out", str(scores)])
+    first = scores.read_text().splitlines()[1]
+    with open(scores, "a") as fh:
+        fh.write(first + "\n")
+    code = main(["calibrate", "--scores", str(scores), "--shortlists", str(shortlists),
+                 "--query-manifest", str(instance_dir / "queries.jsonl"),
+                 "--db-manifest", str(instance_dir / "db.jsonl"),
+                 "--estimator", "l2", "--out", str(tmp_path / "model.json")])
+    assert code == 1
+    assert "line 122: duplicate score (q_00000, l2)" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_calibrate_labels_tau_boundary_inclusively(tmp_path):
     # one query per top-1 distance; q2's is the boundary under test
     offsets = [0.0, 1e-4, 3e-4, 5e-3, 1e-2, 0.0]
@@ -268,3 +286,31 @@ def test_calibrate_labels_tau_boundary_inclusively(tmp_path):
         wrong = [False, False, q2_wrong, True, True, False]
         expected = fit_logistic(list(zip(us, wrong)))
         assert out.read_text() == expected.to_json() + "\n"
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("synth", "--tau"), ("synth", "--estimator"), ("synth", "--threshold"),
+    ("retrieve", "--tau"), ("retrieve", "--estimator"), ("retrieve", "--threshold"),
+    ("rerank", "--tau"), ("rerank", "--estimator"), ("rerank", "--threshold"),
+    ("uncertainty", "--tau"), ("uncertainty", "--threshold"),
+    ("calibrate", "--threshold"),
+    ("gate", "--tau"),
+])
+def test_flags_a_command_does_not_read_are_rejected(command, flag, tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    value = "inlier" if flag == "--estimator" else "0.5"
+    required = {
+        "synth": ["--out-dir", "o"],
+        "retrieve": ["--db-manifest", "a", "--db-blob", "b", "--query-manifest", "c",
+                     "--query-blob", "d", "--out", "o"],
+        "rerank": ["--shortlists", "s", "--inliers", "i", "--out", "o"],
+        "uncertainty": ["--shortlists", "s", "--out", "o"],
+        "calibrate": ["--scores", "c", "--shortlists", "s", "--query-manifest", "q",
+                      "--db-manifest", "d", "--out", "o"],
+        "gate": ["--shortlists", "s", "--inliers", "i", "--model", "m", "--out", "o"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

@@ -35,7 +35,6 @@ class TestLoadSplit:
         split = load_split(manifest, blob)
         assert len(split) == 3
         assert split.blob.dim == 4
-        assert [r.descriptor_index for r in split.records] == [0, 1, 2]
         assert not split.blob.renormalized
 
     def test_renormalizes_off_norm_rows(self, tmp_path):

@@ -51,22 +51,22 @@ def grid_records(distances_m, base=(40.0, 9.0)):
     out = {}
     for i, d in enumerate(distances_m):
         lon = base[1] + d / (M_PER_DEG * math.cos(math.radians(base[0])))
-        out[f"d{i}"] = GeoRecord(f"d{i}", base[0], lon, i)
+        out[f"d{i}"] = GeoRecord(f"d{i}", base[0], lon)
     return out
 
 
 class TestRecallAtK:
     def test_direct_count(self):
-        queries = {"q0": GeoRecord("q0", 40.0, 9.0, 0),
-                   "q1": GeoRecord("q1", 40.0, 9.0, 1),
-                   "q2": GeoRecord("q2", 40.0, 9.0, 2)}
+        queries = {"q0": GeoRecord("q0", 40.0, 9.0),
+                   "q1": GeoRecord("q1", 40.0, 9.0),
+                   "q2": GeoRecord("q2", 40.0, 9.0)}
         db = grid_records([10.0, 30.0, 20.0])
         results = {"q0": ["d0"], "q1": ["d1"], "q2": ["d2"]}
         value = recall_at_k(results, queries, db, 1, DistanceThreshold(25))
         assert value == pytest.approx(100.0 * 2 / 3)
 
     def test_full_k_is_permutation_invariant(self, rng):
-        queries = {"q": GeoRecord("q", 40.0, 9.0, 0)}
+        queries = {"q": GeoRecord("q", 40.0, 9.0)}
         db = grid_records([500.0, 10.0, 900.0, 40.0])
         ids = list(db)
         baseline = recall_at_k({"q": ids}, queries, db, len(ids), DistanceThreshold(25))
@@ -76,12 +76,12 @@ class TestRecallAtK:
                                DistanceThreshold(25)) == baseline
 
     def test_self_match_is_hundred(self):
-        q = GeoRecord("q", 12.0, -7.0, 0)
-        db = {"d0": GeoRecord("d0", 12.0, -7.0, 0)}
+        q = GeoRecord("q", 12.0, -7.0)
+        db = {"d0": GeoRecord("d0", 12.0, -7.0)}
         assert recall_at_k({"q": ["d0"]}, {"q": q}, db, 1, DistanceThreshold(25)) == 100.0
 
     def test_empty_ranking_counts_as_wrong(self):
-        queries = {"q0": GeoRecord("q0", 40.0, 9.0, 0), "q1": GeoRecord("q1", 40.0, 9.0, 1)}
+        queries = {"q0": GeoRecord("q0", 40.0, 9.0), "q1": GeoRecord("q1", 40.0, 9.0)}
         db = grid_records([5.0])
         value = recall_at_k({"q0": ["d0"], "q1": []}, queries, db, 1, DistanceThreshold(25))
         assert value == 50.0
@@ -95,12 +95,12 @@ class TestRecallAtK:
         db = {}
         results = {}
         for qi in range(30):
-            queries[f"q{qi}"] = GeoRecord(f"q{qi}", 40.0, 9.0, qi)
+            queries[f"q{qi}"] = GeoRecord(f"q{qi}", 40.0, 9.0)
             ids = []
             for ci in range(8):
                 rid = f"d{qi}_{ci}"
                 offset = float(rng.uniform(0, 200)) / (M_PER_DEG * math.cos(math.radians(40.0)))
-                db[rid] = GeoRecord(rid, 40.0, 9.0 + offset, 0)
+                db[rid] = GeoRecord(rid, 40.0, 9.0 + offset)
                 ids.append(rid)
             results[f"q{qi}"] = ids
         values = [recall_at_k(results, queries, db, k, DistanceThreshold(25))

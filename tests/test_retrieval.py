@@ -44,11 +44,11 @@ class TestShortlist:
         db = make_split(unit_rows(rng, 40, 8))
         queries = make_split(unit_rows(rng, 5, 8), prefix="q")
         vectors = np.asarray(db.blob.rows, dtype=np.float64)
-        for sl, rec in zip(search_all(build_index(db), queries, 7), queries.records):
+        for sl, row in zip(search_all(build_index(db), queries, 7), queries.blob.rows):
             ids, dists = sl.ids(), sl.distances()
             assert type(ids) is list and all(type(i) is str for i in ids)
             assert type(dists) is list and all(type(d) is float for d in dists)
-            order, oracle = oracle_full_sort(vectors, queries.blob.rows[rec.descriptor_index])
+            order, oracle = oracle_full_sort(vectors, row)
             assert ids == [f"r{i}" for i in order[:7]]
             assert dists == [oracle[i] for i in order[:7]]
 
@@ -156,9 +156,8 @@ class TestSearch:
         queries = make_split(unit_rows(rng, 6, 8), prefix="q")
         index = build_index(db)
         batched = search_all(index, queries, 7)
-        for sl, rec in zip(batched, queries.records):
-            single = search(index, np.asarray(queries.blob.rows[rec.descriptor_index],
-                                              dtype=np.float64), 7)
+        for sl, rec, row in zip(batched, queries.records, queries.blob.rows):
+            single = search(index, np.asarray(row, dtype=np.float64), 7)
             assert sl.query_id == rec.id
             assert sl.ids() == single.ids()
             assert sl.distances() == single.distances()
@@ -167,8 +166,8 @@ class TestSearch:
 def float64_queries(rows):
     """A query split that keeps float64 descriptors, such as exact midpoints."""
     rows = np.asarray(rows, dtype=np.float64)
-    records = [GeoRecord(f"q{i}", 0.0, 0.0, i) for i in range(len(rows))]
-    return Split(records, DescriptorBlob(rows.shape[1], rows))
+    records = [GeoRecord(f"q{i}", 0.0, 0.0) for i in range(len(rows))]
+    return Split(records, DescriptorBlob(rows))
 
 
 def assert_matches_reference(db_rows, query_rows, k):
@@ -315,6 +314,20 @@ class TestShortlistCsv:
         assert lines[0] == "query_id,rank,db_id,distance"
         assert lines[1].startswith("q0,1,")
         assert lines[2].startswith("q0,2,")
+
+    def test_rejects_nan_distance_naming_the_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("query_id,rank,db_id,distance\nq0,1,d0,0.5\nq0,2,d1,nan\n")
+        with pytest.raises(ValidationError, match="line 3: rank/distance out of range"):
+            read_shortlists_csv(path)
+
+    def test_infinite_distance_round_trips(self, tmp_path):
+        # search writes inf for every row when a query's distances overflow
+        path = tmp_path / "s.csv"
+        write_shortlists_csv([Shortlist("q0", ["d0", "d1"], [math.inf, math.inf])], path)
+        [loaded] = read_shortlists_csv(path)
+        assert loaded.ids() == ["d0", "d1"]
+        assert loaded.distances() == [math.inf, math.inf]
 
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -14,6 +14,7 @@ from vprkit.uncertainty import (
     LogisticModel,
     fit_logistic,
     predict_prob,
+    read_scores_csv,
     u_inlier,
     u_l2,
     u_pa,
@@ -92,14 +93,14 @@ def sue_oracle(entries, records, sigma):
 
 class TestSue:
     def test_zero_spread(self):
-        records = {f"d{i}": GeoRecord(f"d{i}", 42.0, 7.5, i) for i in range(5)}
+        records = {f"d{i}": GeoRecord(f"d{i}", 42.0, 7.5) for i in range(5)}
         sl = shortlist(*[(f"d{i}", 0.1 * (i + 1)) for i in range(5)])
         assert u_sue(sl, records).u == 0.0
 
     def test_two_points_100m_apart_equal_weights(self):
         records = {
-            "a": GeoRecord("a", 10.0, 20.0, 0),
-            "b": GeoRecord("b", 10.0 + 100.0 / M_PER_DEG, 20.0, 1),
+            "a": GeoRecord("a", 10.0, 20.0),
+            "b": GeoRecord("b", 10.0 + 100.0 / M_PER_DEG, 20.0),
         }
         score = u_sue(shortlist(("a", 0.3), ("b", 0.3)), records)
         assert score.u == pytest.approx(2500.0, rel=1e-6)
@@ -114,7 +115,7 @@ class TestSue:
                 rid = f"d{i}"
                 records[rid] = GeoRecord(
                     rid, 45.0 + float(rng.uniform(-0.002, 0.002)),
-                    7.0 + float(rng.uniform(-0.002, 0.002)), i)
+                    7.0 + float(rng.uniform(-0.002, 0.002)))
                 entries.append((rid, dists[i]))
             sigma = float(rng.uniform(0.2, 1.0))
             got = u_sue(shortlist(*entries), records, top=n, sigma=sigma).u
@@ -123,9 +124,9 @@ class TestSue:
 
     def test_top_limits_candidates(self):
         records = {
-            "a": GeoRecord("a", 10.0, 20.0, 0),
-            "b": GeoRecord("b", 10.0, 20.0, 1),
-            "far": GeoRecord("far", 11.0, 21.0, 2),
+            "a": GeoRecord("a", 10.0, 20.0),
+            "b": GeoRecord("b", 10.0, 20.0),
+            "far": GeoRecord("far", 11.0, 21.0),
         }
         sl = shortlist(("a", 0.1), ("b", 0.2), ("far", 0.3))
         assert u_sue(sl, records, top=2).u == 0.0
@@ -309,3 +310,19 @@ class TestModelJson:
     def test_std_must_be_positive(self):
         with pytest.raises(ValidationError):
             LogisticModel(w=1.0, b=0.0, mean=0.0, std=0.0)
+
+
+class TestScoresCsv:
+    HEADER = "query_id,estimator,u,prob\n"
+
+    def test_one_query_under_two_estimators_is_read(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text(self.HEADER + "q0,l2,0.5,\nq0,pa,0.9,\nq1,l2,0.25,\n")
+        assert [(s.query_id, s.estimator, s.u) for s in read_scores_csv(path)] == [
+            ("q0", Estimator.L2, 0.5), ("q0", Estimator.PA, 0.9), ("q1", Estimator.L2, 0.25)]
+
+    def test_repeated_score_is_rejected_naming_the_line(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text(self.HEADER + "q0,l2,0.5,\nq1,l2,0.25,\nq0,l2,0.5,\n")
+        with pytest.raises(ValidationError, match=r"line 4: duplicate score \(q0, l2\)"):
+            read_scores_csv(path)
