@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -129,7 +129,7 @@ class EvalReport:
     gate: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
 
     def to_text(self) -> str:
         lines = []

@@ -27,23 +27,30 @@ INLIER_CSV_HEADER = ["query_id", "db_id", "inliers"]
 
 @dataclass
 class InlierTable:
-    """Immutable map from (query_id, db_id) to a non-negative inlier count."""
+    """Immutable map from (query_id, db_id) to a non-negative inlier count, by query row."""
 
-    counts: dict[tuple[str, str], int] = field(default_factory=dict)
+    rows: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def __len__(self) -> int:
-        return len(self.counts)
+        return sum(map(len, self.rows.values()))
+
+    @property
+    def counts(self) -> dict[tuple[str, str], int]:
+        """Flat (query_id, db_id) -> count copy, built on each access."""
+        return {(qid, db_id): n for qid, row in self.rows.items() for db_id, n in row.items()}
 
     def inliers(self, query_id: str, db_id: str) -> int:
         try:
-            return self.counts[(query_id, db_id)]
+            return self.rows[query_id][db_id]
         except KeyError:
             raise MissingPairError(query_id, db_id) from None
 
 
 def load_inlier_table(path) -> InlierTable:
     """Read an inlier CSV (query_id,db_id,inliers); duplicates are an error."""
-    counts: dict[tuple[str, str], int] = {}
+    rows: dict[str, dict[str, int]] = {}
+    db_names: dict[str, str] = {}  # one string object per distinct db id
+    last_qid, query_row = None, {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -61,19 +68,21 @@ def load_inlier_table(path) -> InlierTable:
                 ) from None
             if count < 0:
                 raise ValidationError(f"{path}: line {lineno}: negative inlier count {count}")
-            key = (qid, db_id)
-            if key in counts:
+            if qid != last_qid:
+                last_qid, query_row = qid, rows.setdefault(qid, {})
+            if db_id in query_row:
                 raise ValidationError(f"{path}: line {lineno}: duplicate pair ({qid}, {db_id})")
-            counts[key] = count
-    return InlierTable(counts=counts)
+            query_row[db_names.setdefault(db_id, db_id)] = count
+    return InlierTable(rows=rows)
 
 
 def write_inlier_table(table: InlierTable, path) -> None:
+    """Write queries in table order, each with its pairs in row order."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(INLIER_CSV_HEADER)
-        for (qid, db_id), count in table.counts.items():
-            writer.writerow([qid, db_id, count])
+        writer.writerows([qid, db_id, count]
+                         for qid, row in table.rows.items() for db_id, count in row.items())
 
 
 class MatcherProvider:

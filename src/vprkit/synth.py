@@ -145,24 +145,22 @@ def generate(config: SynthConfig, k: int = 100, gps_noise_m: float = 0.0) -> Syn
     shortlists = search_all(build_index(db_split), query_split, k)
 
     truth = {query_ids[i]: db_ids[truth_idx[i]] for i in range(config.n_queries)}
-    counts: dict[tuple[str, str], int] = {}
+    rows: dict[str, dict[str, int]] = {}
     wrong_span = 1 + int(round(20.0 * min(config.inlier_noise_scale, 2.0)))
-    for i, sl in enumerate(shortlists):
+    for sl in shortlists:
         matcher_right = rng.uniform() < config.matcher_quality
         true_id = truth[sl.query_id]
-        candidate_ids = sl.db_ids
-        low = rng.integers(0, wrong_span, size=len(candidate_ids))
-        for db_id, val in zip(candidate_ids, low):
-            counts[(sl.query_id, db_id)] = int(val)
-        if true_id in candidate_ids:
+        low = rng.integers(0, wrong_span, size=len(sl.db_ids))
+        row = rows[sl.query_id] = dict(zip(sl.db_ids, low.tolist()))
+        if true_id in row:
             if matcher_right:
-                counts[(sl.query_id, true_id)] = HIGH_COUNT_BASE + int(rng.integers(0, 50))
+                row[true_id] = HIGH_COUNT_BASE + int(rng.integers(0, 50))
             else:
-                boosted = next((c for c in candidate_ids if c != true_id), None)
+                boosted = next((c for c in sl.db_ids if c != true_id), None)
                 if boosted is not None:
-                    counts[(sl.query_id, boosted)] = HIGH_COUNT_BASE + int(rng.integers(0, 50))
+                    row[boosted] = HIGH_COUNT_BASE + int(rng.integers(0, 50))
     return SynthInstance(db=db_split, queries=query_split,
-                         inliers=InlierTable(counts=counts), truth=truth)
+                         inliers=InlierTable(rows=rows), truth=truth)
 
 
 def _frozen_blob(rows32: np.ndarray) -> DescriptorBlob:

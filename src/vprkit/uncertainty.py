@@ -21,6 +21,7 @@ not change predictions.
 
 from __future__ import annotations
 
+import csv
 import enum
 import hashlib
 import json
@@ -100,7 +101,7 @@ def u_pa(shortlist: Shortlist) -> UncertaintyScore:
             f"query {shortlist.query_id!r}: PA score needs at least 2 candidates"
         )
     d1, d2 = shortlist.dists[0], shortlist.dists[1]
-    u = 1.0 if d2 == 0.0 else d1 / d2  # two exact matches: maximal aliasing
+    u = 1.0 if d1 == d2 else d1 / d2  # a tie, even of zeros or infs: maximal aliasing
     return UncertaintyScore(shortlist.query_id, Estimator.PA, u)
 
 
@@ -240,8 +241,6 @@ def predict_prob(model: LogisticModel, u: float) -> float:
 def write_scores_csv(scores: Iterable[UncertaintyScore], path,
                      model: LogisticModel | None = None) -> None:
     """CSV export: query_id,estimator,u,prob (prob blank when uncalibrated)."""
-    import csv
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["query_id", "estimator", "u", "prob"])
@@ -251,8 +250,6 @@ def write_scores_csv(scores: Iterable[UncertaintyScore], path,
 
 
 def read_scores_csv(path) -> list[UncertaintyScore]:
-    import csv
-
     scores: dict[tuple[str, Estimator], UncertaintyScore] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -267,6 +264,8 @@ def read_scores_csv(path) -> list[UncertaintyScore]:
                 score = UncertaintyScore(qid, Estimator(est), float(u_s))
             except ValueError:
                 raise ValidationError(f"{path}: line {lineno}: bad estimator or u value") from None
+            if not math.isfinite(score.u):
+                raise ValidationError(f"{path}: line {lineno}: non-finite u value {u_s!r}")
             if (qid, score.estimator) in scores:
                 raise ValidationError(f"{path}: line {lineno}: duplicate score ({qid}, {est})")
             scores[qid, score.estimator] = score

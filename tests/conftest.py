@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from vprkit.dataset import GeoRecord, DescriptorBlob, Split
+from vprkit.matching import InlierTable
 
 
 def write_manifest_file(path, rows):
@@ -42,6 +43,14 @@ def make_split(descriptors, coords=None, prefix="r"):
     ]
     blob = DescriptorBlob(rows=descriptors)
     return Split(records=records, blob=blob)
+
+
+def inlier_table(counts):
+    """InlierTable from a flat {(query_id, db_id): count} dict, keeping its order."""
+    rows = {}
+    for (qid, db_id), n in counts.items():
+        rows.setdefault(qid, {})[db_id] = n
+    return InlierTable(rows=rows)
 
 
 def sq_dists(vectors, query):

@@ -13,13 +13,13 @@ import pytest
 
 from vprkit.dataset import DistanceThreshold, GeoRecord, haversine_many
 from vprkit.evaluation import auprc, evaluate_pipeline, pr_curve, recall_at_k
-from vprkit.matching import InlierTable, TableProvider
+from vprkit.matching import TableProvider
 from vprkit.rerank import GatePolicy, adaptive_rerank, rerank
 from vprkit.retrieval import Shortlist, build_index, search
 from vprkit.synth import SynthConfig, generate
 from vprkit.uncertainty import Estimator, LogisticModel, UncertaintyScore, fit_logistic, predict_prob
 
-from conftest import make_split
+from conftest import inlier_table, make_split
 
 M_PER_DEG = 6_371_000.0 * math.pi / 180.0
 
@@ -78,7 +78,7 @@ def test_02_upper_bound_recall_is_invariant_under_rerank():
         sl = Shortlist("q", ids, [0.01 * (r + 1) for r in range(n)])
         counts = {("q", i): int(c) for i, c in zip(ids, rng.integers(0, 9, n))
                   if rng.uniform() < 0.9}  # some pairs go missing
-        reranked = rerank(sl, TableProvider(InlierTable(counts)))
+        reranked = rerank(sl, TableProvider(inlier_table(counts)))
         tau = DistanceThreshold(float(rng.uniform(5, 100)))
         before = recall_at_k({"q": sl.ids()}, {"q": query}, db, n, tau)
         after = recall_at_k({"q": reranked.ids()}, {"q": query}, db, n, tau)
@@ -93,7 +93,7 @@ def test_03_seven_vs_twentysix_inlier_inversion():
     wrong = GeoRecord("bad", 45.0, 7.0 + 500.0 / (M_PER_DEG * math.cos(math.radians(45.0))))
     db = {"good": correct, "bad": wrong}
     sl = Shortlist("q", ["good", "bad"], [0.2, 0.4])
-    provider = TableProvider(InlierTable({("q", "good"): 7, ("q", "bad"): 26}))
+    provider = TableProvider(inlier_table({("q", "good"): 7, ("q", "bad"): 26}))
     tau = DistanceThreshold(25.0)
     assert recall_at_k({"q": sl.ids()}, {"q": query}, db, 1, tau) == 100.0
     reranked = rerank(sl, provider)

@@ -261,6 +261,25 @@ def test_calibrate_rejects_a_repeated_score_row(instance_dir, tmp_path, capsys):
     assert not (tmp_path / "model.json").exists()
 
 
+def test_calibrate_names_the_line_of_a_nan_score(instance_dir, tmp_path, capsys):
+    shortlists = tmp_path / "s.csv"
+    retrieve_to(instance_dir, shortlists, 5)
+    scores = tmp_path / "scores.csv"
+    run_ok(["uncertainty", "--shortlists", str(shortlists), "--estimator", "l2",
+            "--out", str(scores)])
+    lines = scores.read_text().splitlines()
+    qid, est, _u, prob = lines[3].split(",")
+    lines[3] = ",".join([qid, est, "nan", prob])
+    scores.write_text("\n".join(lines) + "\n")
+    code = main(["calibrate", "--scores", str(scores), "--shortlists", str(shortlists),
+                 "--query-manifest", str(instance_dir / "queries.jsonl"),
+                 "--db-manifest", str(instance_dir / "db.jsonl"),
+                 "--estimator", "l2", "--out", str(tmp_path / "model.json")])
+    assert code == 1
+    assert f"{scores}: line 4: non-finite u value 'nan'" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_calibrate_labels_tau_boundary_inclusively(tmp_path):
     # one query per top-1 distance; q2's is the boundary under test
     offsets = [0.0, 1e-4, 3e-4, 5e-3, 1e-2, 0.0]

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,13 +15,13 @@ from vprkit.evaluation import (
     recall_at_k,
     write_pr_curves_csv,
 )
-from vprkit.matching import InlierTable, MatcherProvider, TableProvider
+from vprkit.matching import MatcherProvider, TableProvider
 from vprkit.rerank import GatePolicy, adaptive_rerank, rerank
 from vprkit.retrieval import build_index, search_all
 from vprkit.synth import SynthConfig, generate
 from vprkit.uncertainty import Estimator, fit_logistic
 
-from conftest import make_split
+from conftest import inlier_table, make_split
 
 M_PER_DEG = 6_371_000.0 * math.pi / 180.0
 
@@ -259,6 +260,16 @@ class TestEvaluatePipeline:
         payload = json.loads(report.to_json())
         assert payload["auprc"]["25.0"].keys() == {"l2", "pa", "sue", "random", "inlier"}
 
+    def test_json_equals_a_deep_copied_dump(self):
+        config = SynthConfig(n_db=300, n_queries=200, dim=16, target_retrieval_r1=0.8,
+                             matcher_quality=0.9, seed=562)
+        inst = generate(config, k=20)
+        report = evaluate_pipeline(inst.db, inst.queries, TableProvider(inst.inliers),
+                                   k=20, ks=(1, 5), taus=(10.0, 25.0),
+                                   gate_estimator="inlier", gate_threshold=0.5)
+        assert report.to_json() == json.dumps(asdict(report), sort_keys=True,
+                                              separators=(",", ":"))
+
     def test_text_report_mentions_all_systems(self):
         config = SynthConfig(n_db=120, n_queries=80, dim=16, seed=560)
         inst = generate(config, k=10)
@@ -387,7 +398,7 @@ class TestEvaluateErrors:
         pair = (sl.query_id, sl.ids()[0])
         counts = {key: n for key, n in inst.inliers.counts.items() if key != pair}
         with pytest.raises(MissingPairError) as err:
-            evaluate_pipeline(inst.db, inst.queries, TableProvider(InlierTable(counts)),
+            evaluate_pipeline(inst.db, inst.queries, TableProvider(inlier_table(counts)),
                               k=5, ks=(1,), gate_estimator="oracle")
         assert (err.value.query_id, err.value.db_id) == pair
         assert f"({pair[0]}, {pair[1]})" in str(err.value)
@@ -409,7 +420,7 @@ class TestEvaluateErrors:
         # retrieval order r0, r1, r2; only r1 lies within 25 m of the query
         db = make_split([[1.0, 0.0], [0.8, 0.6], [0.0, 1.0]],
                         [(40.1, 9.0), base, (40.2, 9.0)])
-        table = InlierTable({("q0", "r0"): 5, ("q0", "r2"): 3})  # ("q0", "r1") missing
+        table = inlier_table({("q0", "r0"): 5, ("q0", "r2"): 3})  # ("q0", "r1") missing
         report = evaluate_pipeline(db, queries, TableProvider(table), k=3, ks=(1, 2, 3),
                                    estimators=(), gate_estimator="oracle")
         r = report.recalls["25.0"]

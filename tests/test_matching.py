@@ -2,6 +2,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -13,12 +14,13 @@ from vprkit.errors import (
     ValidationError,
 )
 from vprkit.matching import (
-    InlierTable,
     SubprocessProvider,
     TableProvider,
     load_inlier_table,
     write_inlier_table,
 )
+
+from conftest import inlier_table
 
 
 def write_csv(path, rows, header="query_id,db_id,inliers"):
@@ -42,6 +44,12 @@ class TestInlierTable:
         with pytest.raises(ValidationError, match="duplicate pair"):
             load_inlier_table(path)
 
+    def test_duplicate_pair_on_non_adjacent_lines_names_the_second(self, tmp_path):
+        path = tmp_path / "i.csv"
+        write_csv(path, [("q1", "d2", 5), ("q2", "d2", 1), ("q1", "d3", 0), ("q1", "d2", 7)])
+        with pytest.raises(ValidationError, match=r"line 5: duplicate pair \(q1, d2\)"):
+            load_inlier_table(path)
+
     def test_negative_count_rejected(self, tmp_path):
         path = tmp_path / "i.csv"
         write_csv(path, [("q1", "d1", -3)])
@@ -61,28 +69,61 @@ class TestInlierTable:
             load_inlier_table(path)
 
     def test_missing_pair_is_distinct_outcome(self):
-        table = InlierTable({("q1", "d1"): 0})
+        table = inlier_table({("q1", "d1"): 0})
         assert table.inliers("q1", "d1") == 0
         with pytest.raises(MissingPairError) as err:
             table.inliers("q1", "d9")
         assert err.value.query_id == "q1"
         assert err.value.db_id == "d9"
+        assert "(q1, d9)" in str(err.value)
+
+    def test_missing_query_names_the_pair(self):
+        table = inlier_table({("q1", "d1"): 0})
+        with pytest.raises(MissingPairError) as err:
+            table.inliers("q7", "d1")
+        assert (err.value.query_id, err.value.db_id) == ("q7", "d1")
+        assert "(q7, d1)" in str(err.value)
 
     def test_round_trip(self, tmp_path):
-        table = InlierTable({("q1", "d1"): 7, ("q2", "d3"): 0})
+        table = inlier_table({("q1", "d1"): 7, ("q2", "d3"): 0})
         path = tmp_path / "out.csv"
         write_inlier_table(table, path)
         assert load_inlier_table(path).counts == table.counts
 
+    def test_writer_groups_interleaved_queries(self, tmp_path):
+        # queries in first-appearance order, each with its pairs in file order
+        src = tmp_path / "in.csv"
+        write_csv(src, [("q2", "d1", 1), ("q1", "d4", 2), ("q2", "d3", 3),
+                        ("q3", "d1", 4), ("q1", "d2", 5)])
+        out = tmp_path / "out.csv"
+        write_inlier_table(load_inlier_table(src), out)
+        assert out.read_text().splitlines() == [
+            "query_id,db_id,inliers",
+            "q2,d1,1", "q2,d3,3", "q1,d4,2", "q1,d2,5", "q3,d1,4",
+        ]
+
+    def test_100k_pair_table_stays_compact(self, tmp_path):
+        path = tmp_path / "big.csv"
+        write_csv(path, [(f"q_{q:05d}", f"db_{(q * 7 + j) % 1000:05d}", (q + j) % 90)
+                         for q in range(1000) for j in range(100)])
+        tracemalloc.start()
+        try:
+            table = load_inlier_table(path)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 100_000
+        assert kept < 8_000_000  # a dict of (str, str) keys kept about 22 MB
+
 
 class TestTableProvider:
     def test_lookup_and_repeatability(self):
-        provider = TableProvider(InlierTable({("q", "d"): 12}))
+        provider = TableProvider(inlier_table({("q", "d"): 12}))
         assert provider.get_inliers("q", "d") == 12
         assert provider.get_inliers("q", "d") == 12
 
     def test_missing_propagates(self):
-        provider = TableProvider(InlierTable({}))
+        provider = TableProvider(inlier_table({}))
         with pytest.raises(MissingPairError):
             provider.get_inliers("q", "d")
 

@@ -1,10 +1,12 @@
 import pytest
 
 from vprkit.errors import ValidationError
-from vprkit.matching import InlierTable, MatcherProvider, TableProvider
+from vprkit.matching import MatcherProvider, TableProvider
 from vprkit.rerank import GatePolicy, adaptive_rerank, rerank, write_reranked_csv
 from vprkit.retrieval import Shortlist
 from vprkit.uncertainty import Estimator, LogisticModel, UncertaintyScore
+
+from conftest import inlier_table
 
 
 def shortlist(query_id, ids, distances=None):
@@ -13,7 +15,7 @@ def shortlist(query_id, ids, distances=None):
 
 
 def table_provider(query_id, counts):
-    return TableProvider(InlierTable({(query_id, db): c for db, c in counts.items()}))
+    return TableProvider(inlier_table({(query_id, db): c for db, c in counts.items()}))
 
 
 class CountingProvider(MatcherProvider):

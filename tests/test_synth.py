@@ -113,7 +113,7 @@ class TestWriteInstance:
         np.testing.assert_array_equal(db.blob.rows, inst.db.blob.rows)
         np.testing.assert_array_equal(queries.blob.rows, inst.queries.blob.rows)
         assert not db.blob.renormalized
-        assert table.counts == inst.inliers.counts
+        assert list(table.counts.items()) == list(inst.inliers.counts.items())
 
     def test_byte_identical_across_runs(self, tmp_path):
         paths_a = write_instance(generate(small_config(), k=10), tmp_path / "a")

@@ -7,7 +7,7 @@ import pytest
 
 from vprkit.dataset import GeoRecord
 from vprkit.errors import MissingPairError, ValidationError
-from vprkit.matching import InlierTable, TableProvider
+from vprkit.matching import TableProvider
 from vprkit.retrieval import Shortlist
 from vprkit.uncertainty import (
     Estimator,
@@ -22,6 +22,8 @@ from vprkit.uncertainty import (
     u_sue,
 )
 from vprkit.evaluation import auprc, pr_curve
+
+from conftest import inlier_table
 
 EARTH_RADIUS_M = 6_371_000.0
 M_PER_DEG = EARTH_RADIUS_M * math.pi / 180.0
@@ -63,6 +65,10 @@ class TestPa:
 
     def test_both_zero_returns_one(self):
         assert u_pa(shortlist(("a", 0.0), ("b", 0.0))).u == 1.0
+
+    def test_both_infinite_returns_one(self):
+        # search writes inf for every row of a query whose distances overflow
+        assert u_pa(Shortlist("q", ["a", "b"], [math.inf, math.inf])).u == 1.0
 
     def test_needs_two_entries(self):
         with pytest.raises(ValidationError):
@@ -161,25 +167,25 @@ class TestRandom:
 
 class TestInlierUncertainty:
     def test_negates_count(self):
-        provider = TableProvider(InlierTable({("q", "top"): 26}))
+        provider = TableProvider(inlier_table({("q", "top"): 26}))
         assert u_inlier("q", "top", provider).u == -26.0
 
     def test_zero_is_maximal(self):
-        provider = TableProvider(InlierTable({("q", "top"): 0}))
+        provider = TableProvider(inlier_table({("q", "top"): 0}))
         assert u_inlier("q", "top", provider).u == 0.0
 
     def test_large_count(self):
-        provider = TableProvider(InlierTable({("q", "top"): 2366}))
+        provider = TableProvider(inlier_table({("q", "top"): 2366}))
         assert u_inlier("q", "top", provider).u == -2366.0
 
     def test_missing_propagates(self):
-        provider = TableProvider(InlierTable({}))
+        provider = TableProvider(inlier_table({}))
         with pytest.raises(MissingPairError):
             u_inlier("q", "top", provider)
 
     def test_rank_equivalence_with_counts(self, rng):
         counts = {(f"q{i}", "t"): int(c) for i, c in enumerate(rng.integers(0, 500, 40))}
-        provider = TableProvider(InlierTable(counts))
+        provider = TableProvider(inlier_table(counts))
         us = {q: u_inlier(q, "t", provider).u for (q, _) in counts}
         by_u = sorted(us, key=lambda q: us[q])
         by_count_desc = sorted(counts, key=lambda p: (-counts[p], us[p[0]]))
