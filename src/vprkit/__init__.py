@@ -5,13 +5,8 @@ per-query uncertainty estimation with logistic calibration, adaptive
 re-rank gating, and Recall@K / AUPRC evaluation.
 """
 
-from .dataset import (
-    DescriptorBlob,
-    DistanceThreshold,
-    GeoRecord,
-    Split,
-    load_split,
-)
+import importlib
+
 from .errors import (
     MatcherError,
     MatcherExitError,
@@ -21,11 +16,9 @@ from .errors import (
     ValidationError,
     VprError,
 )
-from .evaluation import EvalReport, auprc, evaluate_pipeline, pr_curve, recall_at_k
 from .matching import InlierTable, MatcherProvider, SubprocessProvider, TableProvider, load_inlier_table
 from .rerank import GatePolicy, RerankedShortlist, adaptive_rerank, rerank
 from .retrieval import Index, Shortlist, build_index, search
-from .synth import SynthConfig, SynthInstance, generate
 from .uncertainty import (
     Estimator,
     LogisticModel,
@@ -38,6 +31,22 @@ from .uncertainty import (
     u_random,
     u_sue,
 )
+
+# Names from the modules that load numpy resolve on first access, so a process
+# that never touches an array never imports numpy. ``rerank`` stays eager: a
+# later import of its submodule would rebind ``vprkit.rerank`` to the module.
+_LAZY = {name: module for module, names in (
+    ("dataset", ("DescriptorBlob", "DistanceThreshold", "GeoRecord", "Split", "load_split")),
+    ("evaluation", ("EvalReport", "auprc", "evaluate_pipeline", "pr_curve", "recall_at_k")),
+    ("synth", ("SynthConfig", "SynthInstance", "generate"))) for name in names}
+
+
+def __getattr__(name):
+    if name not in _LAZY:  # so ``from vprkit import synth`` imports the submodule
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    return globals()[name]
+
 
 __version__ = "0.1.0"
 

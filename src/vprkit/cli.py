@@ -3,6 +3,8 @@
 Subcommands mirror the pipeline stages: synth, retrieve, rerank,
 uncertainty, calibrate, gate, evaluate. All file paths are explicit flags.
 Exit codes: 0 success, 1 validation error, 2 I/O or command-line usage error.
+Each command imports dataset, evaluation and synth, which load numpy, only if
+it uses them, so rerank, uncertainty and gate start without numpy.
 """
 
 from __future__ import annotations
@@ -10,16 +12,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .dataset import DistanceThreshold, haversine_many, load_split, read_manifest
 from .errors import ValidationError, VprError
-from .evaluation import compute_uncertainties, evaluate_pipeline, write_pr_curves_csv
 from .matching import TableProvider, _KnownCounts, load_inlier_table
 from .rerank import GatePolicy, adaptive_rerank, rerank, write_reranked_csv
 from .retrieval import build_index, read_shortlists_csv, search_all, write_shortlists_csv
-from .synth import SynthConfig, generate, write_instance
 from .uncertainty import (
     Estimator,
     LogisticModel,
+    compute_uncertainties,
     fit_logistic,
     read_scores_csv,
     write_scores_csv,
@@ -124,6 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_synth(args) -> int:
+    from .synth import SynthConfig, generate, write_instance
     config = SynthConfig(n_db=args.n_db, n_queries=args.n_queries, dim=args.dim,
                          target_retrieval_r1=args.target_r1,
                          matcher_quality=args.matcher_quality,
@@ -136,6 +137,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
+    from .dataset import load_split
     db = load_split(args.db_manifest, args.db_blob)
     queries = load_split(args.query_manifest, args.query_blob)
     shortlists = search_all(build_index(db), queries, args.k)
@@ -166,6 +168,7 @@ def _scores_for(args, shortlists, provider=None):
     if args.estimator is Estimator.SUE:
         if not args.db_manifest:
             raise ValidationError("the sue estimator requires --db-manifest")
+        from .dataset import read_manifest
         db_records = {r.id: r for r in read_manifest(args.db_manifest)}
     return compute_uncertainties(shortlists, args.estimator, db_records=db_records,
                                  provider=provider, seed=args.seed)
@@ -188,6 +191,7 @@ def cmd_uncertainty(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    from .dataset import DistanceThreshold, haversine_many, read_manifest
     estimator = args.estimator
     scores = [s for s in read_scores_csv(args.scores) if s.estimator is estimator]
     if not scores:
@@ -238,6 +242,8 @@ def cmd_gate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .dataset import load_split
+    from .evaluation import evaluate_pipeline, write_pr_curves_csv
     db = load_split(args.db_manifest, args.db_blob)
     queries = load_split(args.query_manifest, args.query_blob)
     provider = TableProvider(load_inlier_table(args.inliers))

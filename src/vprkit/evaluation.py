@@ -27,12 +27,8 @@ from .uncertainty import (
     Estimator,
     LogisticModel,
     UncertaintyScore,
+    compute_uncertainties,
     fit_logistic,
-    u_inlier,
-    u_l2,
-    u_pa,
-    u_random,
-    u_sue,
 )
 
 DEFAULT_KS = (1, 5, 10, 100)
@@ -178,32 +174,6 @@ def write_pr_curves_csv(report: EvalReport, path) -> None:
 ALL_ESTIMATORS = (Estimator.L2, Estimator.PA, Estimator.SUE, Estimator.RANDOM, Estimator.INLIER)
 
 
-def compute_uncertainties(shortlists: Sequence[Shortlist], estimator: Estimator,
-                          db_records: Mapping[str, GeoRecord] | None = None,
-                          provider: MatcherProvider | None = None,
-                          seed: int = 0) -> list[UncertaintyScore]:
-    """Uncertainty scores for every query under one estimator."""
-    scores = []
-    for sl in shortlists:
-        if estimator is Estimator.L2:
-            scores.append(u_l2(sl))
-        elif estimator is Estimator.PA:
-            scores.append(u_pa(sl))
-        elif estimator is Estimator.SUE:
-            if db_records is None:
-                raise ValidationError("SUE needs database records for coordinates")
-            scores.append(u_sue(sl, db_records))
-        elif estimator is Estimator.RANDOM:
-            scores.append(u_random(sl.query_id, seed))
-        elif estimator is Estimator.INLIER:
-            if provider is None:
-                raise ValidationError("inlier estimator needs a matcher provider")
-            scores.append(u_inlier(sl.query_id, sl.db_ids[0], provider))
-        else:  # pragma: no cover
-            raise ValidationError(f"unknown estimator {estimator}")
-    return scores
-
-
 def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
                       k: int = 100,
                       ks: Sequence[int] = DEFAULT_KS,
@@ -306,7 +276,7 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
         if gate_model is None:
             gate_model = fit_logistic([(s.u, not c) for s, c in zip(gate_scores, primary_top1)])
         policy = GatePolicy(model=gate_model, threshold=gate_threshold, estimator=gate_est)
-        fired = np.array([policy.fires(s.u) for s in gate_scores])
+        fired = np.array([policy.fires(s) for s in gate_scores])
         gate_desc = {"estimator": gate_est.value, "threshold": gate_threshold,
                      "fitted_here": fitted_here}
 

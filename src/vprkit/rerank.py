@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .errors import MatcherError, MissingPairError, ValidationError
 from .matching import MatcherProvider
 from .retrieval import Shortlist
-from .uncertainty import Estimator, LogisticModel, UncertaintyScore, predict_prob
+from .uncertainty import Estimator, LogisticModel, UncertaintyScore, score_prob
 
 
 @dataclass
@@ -59,8 +59,8 @@ class GatePolicy:
                 f"gate threshold must be strictly inside (0, 1), got {self.threshold}"
             )
 
-    def fires(self, u: float) -> bool:
-        return predict_prob(self.model, u) > self.threshold
+    def fires(self, score: UncertaintyScore) -> bool:
+        return score_prob(self.model, score) > self.threshold
 
 
 def rerank(shortlist: Shortlist, provider: MatcherProvider) -> RerankedShortlist:
@@ -73,7 +73,8 @@ def rerank(shortlist: Shortlist, provider: MatcherProvider) -> RerankedShortlist
         except (MissingPairError, MatcherError) as exc:
             counts.append(None)
             diagnostics.append((db_id, str(exc)))
-    order = sorted(range(len(counts)), key=lambda i: (counts[i] is None, -(counts[i] or 0), i))
+    keys = [1 if c is None else -c for c in counts]  # counts >= 0: missing sorts last
+    order = sorted(range(len(counts)), key=keys.__getitem__)
     return RerankedShortlist(query_id=shortlist.query_id,
                              db_ids=[shortlist.db_ids[i] for i in order],
                              inliers=[counts[i] for i in order],
@@ -98,7 +99,7 @@ def adaptive_rerank(shortlist: Shortlist, provider: MatcherProvider, policy: Gat
             f"gate expects {policy.estimator.value!r} uncertainty, got {u.estimator.value!r}"
         )
 
-    if policy.fires(u.u):
+    if policy.fires(u):
         return rerank(shortlist, provider)
 
     inliers: list[int | None] = [None] * len(shortlist)

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import _kernels
-from .dataset import Split
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
+    from .dataset import Split
 
 BLOCK_ROWS = 32  # query rows screened per GEMM
 
@@ -58,6 +59,7 @@ class Index:
     """Immutable brute-force index over a database split."""
 
     def __init__(self, split: Split):
+        import numpy as np
         if len(split) == 0:
             raise ValidationError("cannot build an index over an empty database")
         self.ids = [r.id for r in split.records]
@@ -91,6 +93,8 @@ def _search_rows(index: Index, queries: np.ndarray, query_ids: list[str],
     A row with a NaN or an infinity is rejected, naming its query, before
     its block reaches the GEMM.
     """
+    import numpy as np
+    from . import _kernels
     shortlists = []
     for lo in range(0, len(query_ids), BLOCK_ROWS):
         block = np.asarray(queries[lo:lo + BLOCK_ROWS], dtype=np.float64)
@@ -107,6 +111,7 @@ def _search_rows(index: Index, queries: np.ndarray, query_ids: list[str],
 
 def search(index: Index, query_descriptor: np.ndarray, k: int, query_id: str = "") -> Shortlist:
     """Exact top-k search; returns min(k, db size) candidates."""
+    import numpy as np
     q = np.asarray(query_descriptor, dtype=np.float64)
     _check(index, k, q.shape)
     return _search_rows(index, q[None, :], [query_id], k)[0]
@@ -129,9 +134,9 @@ def write_shortlists_csv(shortlists: list[Shortlist], path) -> None:
 
 
 def read_shortlists_csv(path) -> list[Shortlist]:
-    """Read shortlists written by write_shortlists_csv, preserving order."""
-    order: list[str] = []
-    grouped: dict[str, list[tuple[int, str, float]]] = {}
+    """Read shortlists written by write_shortlists_csv, in first-appearance order;
+    a query's rows may come in any order, but its ranks must be exactly 1..n."""
+    columns: dict[str, tuple[list[int], list[str], list[float]]] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -148,14 +153,18 @@ def read_shortlists_csv(path) -> list[Shortlist]:
                 raise ValidationError(f"{path}: line {lineno}: bad rank or distance") from None
             if rank < 1 or not dist >= 0:  # NaN fails every comparison
                 raise ValidationError(f"{path}: line {lineno}: rank/distance out of range")
-            if qid not in grouped:
-                grouped[qid] = []
-                order.append(qid)
-            grouped[qid].append((rank, db_id, dist))
+            cols = columns.get(qid)
+            if cols is None:
+                cols = columns[qid] = ([], [], [])
+            cols[0].append(rank)
+            cols[1].append(db_id)
+            cols[2].append(dist)
     shortlists = []
-    for qid in order:
-        ranks, db_ids, dists = zip(*sorted(grouped[qid], key=lambda t: t[0]))
-        if list(ranks) != list(range(1, len(ranks) + 1)):
-            raise ValidationError(f"{path}: ranks for query {qid!r} are not 1..n")
-        shortlists.append(Shortlist(qid, list(db_ids), list(dists)))
+    for qid, (ranks, db_ids, dists) in columns.items():
+        if ranks != list(range(1, len(ranks) + 1)):
+            order = sorted(range(len(ranks)), key=ranks.__getitem__)
+            ranks, db_ids, dists = ([col[i] for i in order] for col in (ranks, db_ids, dists))
+            if ranks != list(range(1, len(ranks) + 1)):
+                raise ValidationError(f"{path}: ranks for query {qid!r} are not 1..n")
+        shortlists.append(Shortlist(qid, db_ids, dists))
     return shortlists

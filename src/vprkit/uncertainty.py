@@ -28,14 +28,15 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-import numpy as np
-
-from .dataset import EARTH_RADIUS_M, GeoRecord
 from .errors import ValidationError
 from .matching import MatcherProvider
 from .retrieval import Shortlist
+
+if TYPE_CHECKING:
+    import numpy as np
+    from .dataset import GeoRecord
 
 RIDGE_LAMBDA = 1e-6
 GRAD_TOL = 1e-10
@@ -108,6 +109,8 @@ def u_pa(shortlist: Shortlist) -> UncertaintyScore:
 def u_sue(shortlist: Shortlist, db_records: Mapping[str, GeoRecord],
           top: int = 10, sigma: float | None = None) -> UncertaintyScore:
     """Weighted spatial variance (m^2) of the top candidates' positions."""
+    import numpy as np
+    from .dataset import EARTH_RADIUS_M
     if top < 1:
         raise ValidationError(f"top must be >= 1, got {top}")
     try:
@@ -155,7 +158,34 @@ def u_inlier(query_id: str, top1_db_id: str, provider: MatcherProvider) -> Uncer
     return UncertaintyScore(query_id, Estimator.INLIER, -float(count))
 
 
+def compute_uncertainties(shortlists: Sequence[Shortlist], estimator: Estimator,
+                          db_records: Mapping[str, GeoRecord] | None = None,
+                          provider: MatcherProvider | None = None,
+                          seed: int = 0) -> list[UncertaintyScore]:
+    """Uncertainty scores for every query under one estimator."""
+    scores = []
+    for sl in shortlists:
+        if estimator is Estimator.L2:
+            scores.append(u_l2(sl))
+        elif estimator is Estimator.PA:
+            scores.append(u_pa(sl))
+        elif estimator is Estimator.SUE:
+            if db_records is None:
+                raise ValidationError("SUE needs database records for coordinates")
+            scores.append(u_sue(sl, db_records))
+        elif estimator is Estimator.RANDOM:
+            scores.append(u_random(sl.query_id, seed))
+        elif estimator is Estimator.INLIER:
+            if provider is None:
+                raise ValidationError("inlier estimator needs a matcher provider")
+            scores.append(u_inlier(sl.query_id, sl.db_ids[0], provider))
+        else:  # pragma: no cover
+            raise ValidationError(f"unknown estimator {estimator}")
+    return scores
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
+    import numpy as np
     out = np.empty_like(z, dtype=np.float64)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -165,6 +195,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _nll(theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    import numpy as np
     z = theta[0] * x + theta[1]
     # log(1 + e^z) - y*z, computed stably
     ll = np.logaddexp(0.0, z) - y * z
@@ -177,6 +208,7 @@ def fit_logistic(samples: Sequence[tuple[float, bool]]) -> LogisticModel:
     Deterministic: zero initialization, full Newton steps halved until the
     loss does not increase, stop at gradient norm <= 1e-10 or 100 iterations.
     """
+    import numpy as np
     if len(samples) < 2:
         raise ValidationError("need at least 2 samples to fit")
     u = np.array([s[0] for s in samples], dtype=np.float64)
@@ -238,6 +270,14 @@ def predict_prob(model: LogisticModel, u: float) -> float:
     return min(max(p, PROB_CLIP), 1.0 - PROB_CLIP)
 
 
+def score_prob(model: LogisticModel, score: UncertaintyScore) -> float:
+    """``predict_prob`` of one query's score; a non-finite u names the query."""
+    try:
+        return predict_prob(model, score.u)
+    except ValidationError as exc:
+        raise ValidationError(f"query {score.query_id!r}: {exc}") from None
+
+
 def write_scores_csv(scores: Iterable[UncertaintyScore], path,
                      model: LogisticModel | None = None) -> None:
     """CSV export: query_id,estimator,u,prob (prob blank when uncalibrated)."""
@@ -245,7 +285,7 @@ def write_scores_csv(scores: Iterable[UncertaintyScore], path,
         writer = csv.writer(fh)
         writer.writerow(["query_id", "estimator", "u", "prob"])
         for s in scores:
-            prob = "" if model is None else repr(predict_prob(model, s.u))
+            prob = "" if model is None else repr(score_prob(model, s))
             writer.writerow([s.query_id, s.estimator.value, repr(s.u), prob])
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -333,3 +334,21 @@ def test_flags_a_command_does_not_read_are_rejected(command, flag, tmp_path, mon
         main([command, *required, flag, value])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["uncertainty", "gate"])
+def test_a_non_finite_score_names_its_query(command, tmp_path, capsys):
+    # search writes inf distances when a query's squared distances overflow
+    write_shortlists_csv([Shortlist("q0", ["d0", "d1"], [0.5, 0.7]),
+                          Shortlist("q1", ["d0", "d1"], [math.inf, math.inf])],
+                         tmp_path / "s.csv")
+    (tmp_path / "inliers.csv").write_text(
+        "query_id,db_id,inliers\nq0,d0,3\nq0,d1,1\nq1,d0,2\nq1,d1,5\n")
+    model = tmp_path / "m.json"
+    model.write_text(LogisticModel(w=1.0, b=0.0, mean=0.0, std=1.0).to_json())
+    extra = ["--inliers", str(tmp_path / "inliers.csv")] if command == "gate" else []
+    code = main([command, "--shortlists", str(tmp_path / "s.csv"), "--estimator", "l2",
+                 "--model", str(model), *extra, "--out", str(tmp_path / "out.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "error: query 'q1': uncertainty value must be finite, got inf\n"

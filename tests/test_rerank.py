@@ -65,6 +65,20 @@ class TestRerank:
             want = oracle_stable_sort([(i, counts[i], r + 1) for r, i in enumerate(ids)])
             assert out.ids() == [i for i, _, _ in want]
 
+    def test_order_equals_the_tuple_key_with_ties_and_missing(self, rng):
+        # the (missing, -count, position) key rerank sorted by before its
+        # keys became one int per position
+        for _ in range(200):
+            n = int(rng.integers(1, 60))
+            ids = [f"d{i}" for i in range(n)]
+            drawn = rng.integers(0, 5, n)  # few values: many ties
+            counts = [None if rng.uniform() < 0.25 else int(c) for c in drawn]
+            present = {i: c for i, c in zip(ids, counts) if c is not None}
+            out = rerank(shortlist("q", ids), table_provider("q", present))
+            want = sorted(range(n), key=lambda i: (counts[i] is None, -(counts[i] or 0), i))
+            assert out.original_ranks == [i + 1 for i in want]
+            assert out.inliers == [counts[i] for i in want]
+
     def test_missing_pairs_sink_below_counted(self):
         sl = shortlist("q", ["a", "b", "c", "d"])
         out = rerank(sl, table_provider("q", {"b": 1, "d": 3}))

@@ -329,6 +329,30 @@ class TestShortlistCsv:
         assert loaded.ids() == ["d0", "d1"]
         assert loaded.distances() == [math.inf, math.inf]
 
+    def test_out_of_order_ranks_are_reordered(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("query_id,rank,db_id,distance\n"
+                        "q0,3,d2,0.3\nq0,1,d0,0.1\nq0,2,d1,0.2\n")
+        [loaded] = read_shortlists_csv(path)
+        assert loaded.ids() == ["d0", "d1", "d2"]
+        assert loaded.distances() == [0.1, 0.2, 0.3]
+
+    @pytest.mark.parametrize("ranks", [(1, 1, 2), (1, 3), (2, 3), (1, 2, 2)])
+    def test_rejects_ranks_other_than_one_to_n(self, tmp_path, ranks):
+        path = tmp_path / "s.csv"
+        rows = "".join(f"q0,{r},d{i},0.{i + 1}\n" for i, r in enumerate(ranks))
+        path.write_text("query_id,rank,db_id,distance\n" + rows)
+        with pytest.raises(ValidationError, match=r"ranks for query 'q0' are not 1\.\.n"):
+            read_shortlists_csv(path)
+
+    def test_interleaved_queries_keep_first_appearance_order(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("query_id,rank,db_id,distance\n"
+                        "qb,1,d0,0.1\nqa,1,d5,0.5\nqb,2,d1,0.2\nqa,2,d6,0.6\n")
+        loaded = read_shortlists_csv(path)
+        assert [sl.query_id for sl in loaded] == ["qb", "qa"]
+        assert [sl.ids() for sl in loaded] == [["d0", "d1"], ["d5", "d6"]]
+
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("nope,fields\n")
