@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -22,6 +23,7 @@ from .errors import ValidationError
 
 BLOB_MAGIC = b"VPRD"
 NORM_TOLERANCE = 1e-4
+BLOCK_VALUES = 1 << 14  # floats per ingest check block: 128 KiB as float64
 EARTH_RADIUS_M = _kernels.EARTH_RADIUS_M
 
 
@@ -45,7 +47,7 @@ class DescriptorBlob:
     """Row-major float32 descriptor matrix, unit-norm rows after ingestion."""
 
     rows: np.ndarray
-    renormalized: bool = False
+    renormalized: int = 0  # rows re-normalized on load
 
     def __len__(self) -> int:
         return self.rows.shape[0]
@@ -125,7 +127,8 @@ def write_manifest(records: Iterable[GeoRecord], path) -> None:
 
 
 def read_blob(path) -> DescriptorBlob:
-    """Read a descriptor blob: b"VPRD", u32 count, u32 dim, count*dim float32 LE."""
+    """Read a descriptor blob: b"VPRD", u32 count, u32 dim, count*dim float32 LE,
+    straight into the returned rows, checked BLOCK_VALUES floats at a time."""
     with open(path, "rb") as fh:
         header = fh.read(12)
         if len(header) < 12 or header[:4] != BLOB_MAGIC:
@@ -133,25 +136,30 @@ def read_blob(path) -> DescriptorBlob:
         count, dim = struct.unpack("<II", header[4:12])
         if dim == 0:
             raise ValidationError(f"{path}: descriptor dim must be positive")
-        payload = fh.read()
-    expected = count * dim * 4
-    if len(payload) != expected:
+        expected = count * dim * 4
+        size = os.fstat(fh.fileno()).st_size - 12
+        if size == expected:
+            rows = np.empty((count, dim), dtype="<f4")
+            size = fh.readinto(rows)
+    if size != expected:
         raise ValidationError(
             f"{path}: row count mismatch: header declares {count}x{dim} "
-            f"({expected} bytes) but payload has {len(payload)} bytes"
+            f"({expected} bytes) but payload has {size} bytes"
         )
-    rows = np.frombuffer(payload, dtype="<f4").reshape(count, dim).astype(np.float32)
-    if not np.all(np.isfinite(rows)):
+    step = max(1, BLOCK_VALUES // dim)
+    blocks = [rows[lo:lo + step] for lo in range(0, count, step)]
+    if not all(np.isfinite(block).all() for block in blocks):
         raise ValidationError(f"{path}: blob contains non-finite floats")
-
-    norms = np.linalg.norm(rows.astype(np.float64), axis=1)
-    off = np.abs(norms - 1.0) > NORM_TOLERANCE
-    renormalized = bool(off.any())
-    if renormalized:
+    # np.linalg.norm reduces each row on its own, so any block size gives the
+    # bits of the whole-matrix norm
+    renormalized = 0
+    for block in blocks:
+        norms = np.linalg.norm(block.astype(np.float64), axis=1)
+        off = np.abs(norms - 1.0) > NORM_TOLERANCE
         if np.any(norms[off] == 0.0):
             raise ValidationError(f"{path}: zero-norm descriptor row cannot be normalized")
-        rows = rows.copy()
-        rows[off] = (rows[off].astype(np.float64) / norms[off, None]).astype(np.float32)
+        block[off] = (block[off].astype(np.float64) / norms[off, None]).astype(np.float32)
+        renormalized += int(np.count_nonzero(off))
     rows.flags.writeable = False
     return DescriptorBlob(rows=rows, renormalized=renormalized)
 

@@ -9,10 +9,8 @@ never degrade to zero: zero inliers is itself a meaningful measurement.
 from __future__ import annotations
 
 import csv
-import shlex
-import subprocess
-import threading
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import (
     MatcherExitError,
@@ -21,6 +19,9 @@ from .errors import (
     MissingPairError,
     ValidationError,
 )
+
+if TYPE_CHECKING:
+    import subprocess
 
 INLIER_CSV_HEADER = ["query_id", "db_id", "inliers"]
 
@@ -126,7 +127,8 @@ class SubprocessProvider(MatcherProvider):
     by the two image paths. The process must exit 0; the last
     whitespace-delimited token of stdout is parsed as the non-negative inlier
     count, so wrapper scripts are free to log before it. At most
-    ``max_concurrent`` invocations run at once.
+    ``max_concurrent`` invocations run at once. ``subprocess``, ``shlex`` and
+    ``threading`` are imported here, their only user, so start-up skips them.
     """
 
     def __init__(self, command_template: str, timeout: float = 60.0, max_concurrent: int = 1):
@@ -139,9 +141,11 @@ class SubprocessProvider(MatcherProvider):
         self.command_template = command_template
         self.timeout = timeout
         self.max_concurrent = max_concurrent
+        import threading
         self._slots = threading.BoundedSemaphore(max_concurrent)
 
     def _build_argv(self, query_path: str, db_path: str) -> list[str]:
+        import shlex
         argv = []
         for token in shlex.split(self.command_template):
             argv.append(token.replace("{query}", query_path).replace("{db}", db_path))
@@ -149,6 +153,7 @@ class SubprocessProvider(MatcherProvider):
 
     def _run(self, argv: list[str]) -> subprocess.CompletedProcess:
         # separated out so tests can observe/replace the actual invocation
+        import subprocess
         return subprocess.run(argv, capture_output=True, text=True, timeout=self.timeout)
 
     def get_inliers(self, query_id: str, db_id: str,
@@ -157,6 +162,7 @@ class SubprocessProvider(MatcherProvider):
             raise ValidationError(
                 f"subprocess matcher needs image paths for ({query_id}, {db_id})"
             )
+        import subprocess
         argv = self._build_argv(image_paths[0], image_paths[1])
         with self._slots:
             try:

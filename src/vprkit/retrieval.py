@@ -3,8 +3,9 @@
 Results equal a full sort of the sequential float64 squared distances, with
 ties broken by ascending database insertion index, so every shortlist is
 deterministic. Queries go through ``_kernels.top_k`` BLOCK_ROWS at a time: a
-GEMM screen, then an exact re-score of every row within 2E of the k-th
-screened distance, where E = 2γ_{d+2}(max‖x‖ + ‖q‖)² is a forward error bound
+float32 GEMM screen over the split's own float32 rows, then an exact float64
+re-score of every row within 2E of the k-th screened distance, where
+E ≈ (d + 4)·2⁻²⁴·(max‖x‖ + ‖q‖)² is the forward error bound ``top_k`` derives
 (Higham, *Accuracy and Stability of Numerical Algorithms*, §3.1). Peak memory
 grows with the block, not with the number of queries.
 
@@ -64,10 +65,9 @@ class Index:
             raise ValidationError("cannot build an index over an empty database")
         self.ids = [r.id for r in split.records]
         self.dim = split.blob.dim
-        # float64 working copy: distances accumulate in double precision
-        self._vectors = np.ascontiguousarray(split.blob.rows, dtype=np.float64)
-        self._vectors.flags.writeable = False
-        self._sq_norms = np.einsum("ij,ij->i", self._vectors, self._vectors)
+        # the split's own float32 rows; einsum casts them in small buffers
+        self._vectors = np.ascontiguousarray(split.blob.rows, dtype=np.float32)
+        self._sq_norms = np.einsum("ij,ij->i", self._vectors, self._vectors, dtype=np.float64)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -96,13 +96,15 @@ def _search_rows(index: Index, queries: np.ndarray, query_ids: list[str],
     import numpy as np
     from . import _kernels
     shortlists = []
+    # one screen buffer for every block, so that blocks do not churn the heap
+    screen = np.empty((min(BLOCK_ROWS, len(query_ids)), len(index)), dtype=np.float32)
     for lo in range(0, len(query_ids), BLOCK_ROWS):
         block = np.asarray(queries[lo:lo + BLOCK_ROWS], dtype=np.float64)
         finite = np.isfinite(block).all(axis=1)
         if not finite.all():
             bad = query_ids[lo + int(np.argmin(finite))]
             raise ValidationError(f"query {bad!r}: descriptor has non-finite values")
-        rows, sq = _kernels.top_k(index._vectors, index._sq_norms, block, k)
+        rows, sq = _kernels.top_k(index._vectors, index._sq_norms, block, k, screen)
         for query_id, top, dists in zip(query_ids[lo:lo + BLOCK_ROWS], rows.tolist(),
                                         np.sqrt(sq).tolist()):
             shortlists.append(Shortlist(query_id, [index.ids[i] for i in top], dists))

@@ -1,9 +1,13 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from vprkit.dataset import (
+    BLOCK_VALUES,
+    NORM_TOLERANCE,
     DistanceThreshold,
     haversine_many,
     load_split,
@@ -109,6 +113,75 @@ class TestLoadSplit:
         loaded = read_blob(blob)
         with pytest.raises(ValueError):
             loaded.rows[0, 0] = 2.0
+
+
+def whole_matrix_renormalize(rows):
+    """The ingest formula on the whole matrix at once: float64 row norms, and
+    rows off unit norm by more than NORM_TOLERANCE divided by theirs."""
+    rows = np.array(rows, dtype=np.float32)
+    norms = np.linalg.norm(rows.astype(np.float64), axis=1)
+    off = np.abs(norms - 1.0) > NORM_TOLERANCE
+    rows[off] = (rows[off].astype(np.float64) / norms[off, None]).astype(np.float32)
+    return rows, int(off.sum())
+
+
+class TestBlockedIngest:
+    """read_blob checks and re-normalizes BLOCK_VALUES floats at a time."""
+
+    def test_peak_memory_is_the_rows_plus_a_block(self, tmp_path, rng):
+        rows = rng.standard_normal((20_000, 128)).astype(np.float32)
+        path = tmp_path / "d.vprd"
+        write_blob(rows, path)  # no row is unit norm, so every row is re-normalized
+        tracemalloc.start()
+        try:
+            loaded = read_blob(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes + 1e6
+        assert loaded.renormalized == 20_000
+
+    @pytest.mark.parametrize("dim", [1, 3, 128])
+    def test_off_norm_rows_across_block_edges_match_the_whole_matrix(self, tmp_path, rng, dim):
+        step = BLOCK_VALUES // dim
+        rows = rng.standard_normal((3 * step + 5, dim))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        off = [0, step - 1, step, step + 1, 2 * step - 1, 2 * step, 3 * step + 4]
+        off += list(rng.choice(len(rows), size=20, replace=False))
+        rows[off] *= rng.uniform(0.5, 3.0, size=(len(off), 1))
+        path = tmp_path / "d.vprd"
+        write_blob(rows, path)
+        want, count = whole_matrix_renormalize(rows)
+        loaded = read_blob(path)
+        assert loaded.rows.tobytes() == want.tobytes()
+        assert loaded.renormalized == count == len(set(off))
+
+    def test_each_error_names_its_file(self, tmp_path):
+        path = tmp_path / "d.vprd"
+
+        def fails(message):
+            return pytest.raises(ValidationError, match=re.escape(f"{path}: {message}"))
+
+        path.write_bytes(b"NOPE" + b"\x00" * 8)
+        with fails("bad magic (expected b'VPRD')"):
+            read_blob(path)
+        write_blob_file(path, np.zeros((2, 0)), dim=0)
+        with fails("descriptor dim must be positive"):
+            read_blob(path)
+        for count in (4, 2):  # a short, then a long payload of three 4-d rows
+            write_blob_file(path, np.eye(4)[:3], count=count)
+            with fails(f"row count mismatch: header declares {count}x4 ({count * 16} bytes) "
+                       "but payload has 48 bytes"):
+                read_blob(path)
+        rows = np.tile(np.eye(4, dtype=np.float32)[:1], (3 * BLOCK_VALUES // 4, 1))
+        rows[-1, 2] = np.inf  # in the last block
+        write_blob_file(path, rows)
+        with fails("blob contains non-finite floats"):
+            read_blob(path)
+        rows[-1] = 0.0
+        write_blob_file(path, rows)
+        with fails("zero-norm descriptor row cannot be normalized"):
+            read_blob(path)
 
 
 class TestGeoDistance:

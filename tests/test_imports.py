@@ -92,6 +92,15 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     assert proc.stdout == "False\n"
 
 
+def test_importing_the_cli_leaves_the_matcher_process_modules_unloaded():
+    # -S keeps site hooks from importing them before vprkit does
+    code = ("import sys, vprkit.cli\n"
+            "print(sorted({'subprocess', 'shlex', 'threading'} & sys.modules.keys()))\n")
+    proc = python("-S", "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("name", ["rerank", "uncertainty-inlier", "uncertainty-l2",
                                   "uncertainty-pa", "uncertainty-random", "gate-inlier"])
 def test_command_runs_without_numpy_and_writes_the_same_bytes(inst, tmp_path, name):

@@ -8,13 +8,16 @@ from conftest import full_sort_top_k, sq_dists
 
 @pytest.fixture
 def arrays(rng):
-    vectors = np.ascontiguousarray(rng.standard_normal((300, 24)))
+    vectors = np.ascontiguousarray(rng.standard_normal((300, 24)), dtype=np.float32)
     queries = np.ascontiguousarray(rng.standard_normal((7, 24)))
     return vectors, queries
 
 
 def top_k(vectors, queries, k):
-    return _kernels.top_k(vectors, np.einsum("ij,ij->i", vectors, vectors), queries, k)
+    """top_k over float32 rows, as an Index holds them, with float64 ‖x‖²."""
+    sq_norms = np.einsum("ij,ij->i", vectors, vectors, dtype=np.float64)
+    screen = np.empty((len(queries), len(vectors)), dtype=np.float32)
+    return _kernels.top_k(vectors, sq_norms, queries, k, screen)
 
 
 class TestSquaredDistances:

@@ -256,6 +256,74 @@ class TestExactness:
         assert sl.ids() == ["r0", "r1", "r2", "r3", "r4"]
         assert sl.distances() == [math.inf] * 5
 
+    def test_queries_within_a_float32_ulp_of_rows(self, rng):
+        # rows one float32 ulp apart, and float64 queries a fraction of an ulp
+        # off them: q̃ = fl32(q) moves each component by up to half an ulp,
+        # which may reorder rows that the loop tells apart
+        base = unit_rows(rng, 30, 16).astype(np.float32)
+        nudged = [np.nextafter(base, np.float32(side)) for side in (np.inf, -np.inf)]
+        rows = np.vstack([base, *nudged])
+        ulp = np.spacing(base).astype(np.float64)
+        for frac in (0.5, 0.49, 0.51, 1.0):
+            sign = rng.choice([-1.0, 1.0], size=base.shape)
+            queries = base + sign * frac * ulp
+            for k in (1, 3, 4):
+                assert_matches_reference(rows, queries, k)
+
+    def test_float32_subnormal_rows_and_queries(self, rng):
+        # entries below 2⁻¹²⁶ (1e-40) and squares below it (1e-20): the
+        # float32 screen underflows, gradually or to zero
+        for scale in (1e-40, 1e-20, 3e-23):
+            rows = unit_rows(rng, 60, 8) * scale * rng.uniform(0.5, 2.0, (60, 1))
+            rows = rows.astype(np.float32)
+            rows[5] = rows[9]
+            queries = np.vstack([rows[[5, 17]].astype(np.float64),
+                                 unit_rows(rng, 6, 8) * scale,
+                                 (unit_rows(rng, 3, 8) * scale).astype(np.float32)])
+            for k in (1, 2, 10):
+                assert_matches_reference(rows, queries, k)
+        mixed = np.vstack([unit_rows(rng, 20, 8), unit_rows(rng, 20, 8) * 1e-40])
+        assert_matches_reference(mixed.astype(np.float32), unit_rows(rng, 5, 8) * 1e-40, 25)
+
+    def test_beyond_float32_range_every_row_is_a_candidate(self, rng, monkeypatch):
+        # a finite float64 query past float32's range (its q̃ would be inf),
+        # and rows whose float32 ‖x‖² (about 4e38) would overflow
+        cases = [(unit_rows(rng, 40, 4), unit_rows(rng, 3, 4) * 1e39),
+                 (unit_rows(rng, 40, 4) * 2e19, unit_rows(rng, 3, 4))]
+        for rows, queries in cases:
+            rows = rows.astype(np.float32)
+            index = build_index(make_split(rows))
+            rescored, lexsort = [], np.lexsort
+
+            def counting_lexsort(keys):  # top_k sorts exactly its re-scored pairs
+                rescored.append(len(keys[0]))
+                return lexsort(keys)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "lexsort", counting_lexsort)
+                for query in queries:
+                    search(index, query, 3)
+            assert rescored == [len(rows)] * len(queries)
+            for k in (1, 3, 40):
+                assert_matches_reference(rows, queries, k)
+        # just inside the screen's reach, the screen runs and must not overflow
+        rows = (unit_rows(rng, 40, 4) * 1.2e19).astype(np.float32)
+        assert_matches_reference(rows, unit_rows(rng, 3, 4), 3)
+
+    def test_index_keeps_the_float32_rows_without_a_float64_copy(self, rng):
+        rows = unit_rows(rng, 20_000, 128).astype(np.float32)
+        split = make_split(rows)
+        tracemalloc.start()
+        try:
+            index = build_index(split)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes  # an n x d float64 array takes twice that
+        assert index._vectors is split.blob.rows
+        want = np.sum(np.square(rows, dtype=np.float64), axis=1)
+        np.testing.assert_allclose(index._sq_norms, want, rtol=1e-13)
+
     def test_peak_memory_bounded_by_block_not_queries(self, rng):
         # an n_q x n_db float64 distance matrix here would take 80 MB
         db = make_split(unit_rows(rng, 20_000, 4))
