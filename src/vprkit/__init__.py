@@ -37,7 +37,7 @@ from .uncertainty import (
 # later import of its submodule would rebind ``vprkit.rerank`` to the module.
 _LAZY = {name: module for module, names in (
     ("dataset", ("DescriptorBlob", "DistanceThreshold", "GeoRecord", "Split", "load_split")),
-    ("evaluation", ("EvalReport", "auprc", "evaluate_pipeline", "pr_curve", "recall_at_k")),
+    ("evaluation", ("EvalReport", "auprc", "evaluate_pipeline", "pr_curve")),
     ("synth", ("SynthConfig", "SynthInstance", "generate"))) for name in names}
 
 
@@ -67,7 +67,6 @@ __all__ = [
     "auprc",
     "evaluate_pipeline",
     "pr_curve",
-    "recall_at_k",
     "InlierTable",
     "MatcherProvider",
     "SubprocessProvider",

@@ -14,15 +14,15 @@ import csv
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .dataset import DistanceThreshold, GeoRecord, Split, haversine_many
-from .errors import ValidationError
+from .dataset import DistanceThreshold, Split, haversine_many
+from .errors import ValidationError, VprError
 from .matching import MatcherProvider, _KnownCounts
 from .rerank import GatePolicy, rerank
-from .retrieval import Shortlist, build_index, search_all
+from .retrieval import BLOCK_ROWS, Shortlist, build_index, search_all
 from .uncertainty import (
     Estimator,
     LogisticModel,
@@ -33,34 +33,6 @@ from .uncertainty import (
 
 DEFAULT_KS = (1, 5, 10, 100)
 ORACLE_GATE = "oracle"
-
-
-def recall_at_k(results: Mapping[str, Sequence[str]],
-                query_records: Mapping[str, GeoRecord],
-                db_records: Mapping[str, GeoRecord],
-                k: int, threshold: DistanceThreshold) -> float:
-    """Percent of queries with a correct candidate in their top k.
-
-    The per-query reference for the batch recalls of ``evaluate_pipeline``.
-    """
-    if len(results) == 0:
-        raise ValidationError("recall is undefined over zero queries")
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    hits = 0
-    for query_id, ranked in results.items():
-        try:
-            q = query_records[query_id]
-        except KeyError:
-            raise ValidationError(f"query {query_id!r} has no record") from None
-        try:
-            recs = [db_records[db_id] for db_id in ranked[:k]]
-        except KeyError as exc:
-            raise ValidationError(f"candidate {exc.args[0]!r} has no record") from None
-        dists = haversine_many(q.lat, q.lon, [r.lat for r in recs], [r.lon for r in recs])
-        if (dists <= threshold.tau).any():
-            hits += 1
-    return 100.0 * hits / len(results)
 
 
 def pr_curve(samples: Sequence[tuple[float, bool]]) -> list[tuple[float, float]]:
@@ -197,9 +169,9 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
     one boolean queries x positions correctness matrix per tau through its
     own permutation, and a fired query reuses its full re-ranking order.
     Every estimator goes through ``compute_uncertainties`` with ``provider``
-    wrapped in a ``_KnownCounts`` that holds the top-1 counts re-ranking
+    wrapped in a ``_KnownCounts`` that holds the top-1 outcomes re-ranking
     fetched, so each inlier pair is fetched once. A top-1 pair whose fetch
-    failed is not held, so ``u_inlier`` asks ``provider`` again and the
+    failed is held as its error, which ``u_inlier`` raises, so the
     provider's own error names the pair.
     """
     if workers < 1:
@@ -217,31 +189,41 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
     db_records = db.by_id
     n_q = len(shortlists)
 
-    # correct[tau][i, j]: candidate j of query i lies within tau meters
+    # correct[tau][i, j]: candidate j of query i lies within tau meters,
+    # labelled a block of query rows at a time to bound the temporaries
     row = {r.id: i for i, r in enumerate(db.records)}
-    cand = db.coords()[np.array([[row[d] for d in sl.db_ids] for sl in shortlists])]
-    q = queries.coords()[:, None, :]
-    dists = haversine_many(q[..., 0], q[..., 1], cand[..., 0], cand[..., 1])
-    correct = {tau: dists <= DistanceThreshold(tau).tau for tau in taus}
+    cand_rows = np.array([[row[d] for d in sl.db_ids] for sl in shortlists])
+    db_coords, q_coords = db.coords(), queries.coords()
+    limits = {tau: DistanceThreshold(tau).tau for tau in taus}
+    correct = {tau: np.empty(cand_rows.shape, dtype=bool) for tau in taus}
+    for lo in range(0, n_q, BLOCK_ROWS):
+        cand = db_coords[cand_rows[lo:lo + BLOCK_ROWS]]
+        q = q_coords[lo:lo + BLOCK_ROWS, None, :]
+        dists = haversine_many(q[..., 0], q[..., 1], cand[..., 0], cand[..., 1])
+        for tau, limit in limits.items():
+            correct[tau][lo:lo + BLOCK_ROWS] = dists <= limit
 
-    def _rerank(sl: Shortlist) -> tuple[list[int], int | None]:
-        """The re-ranking order as shortlist positions, and the top-1 count."""
+    def _rerank(sl: Shortlist) -> tuple[list[int], int | VprError]:
+        """The re-ranking order as shortlist positions, and the top-1 pair's
+        count or the error its fetch raised."""
         try:
             rr = rerank(sl, provider)
         except ValidationError as exc:
             raise ValidationError(f"query {sl.query_id!r}: {exc}") from exc
-        return [r - 1 for r in rr.original_ranks], rr.inliers[rr.original_ranks.index(1)]
+        top1 = rr.inliers[rr.original_ranks.index(1)]
+        if top1 is None:
+            top1 = dict(rr.diagnostics)[sl.db_ids[0]]
+        return [r - 1 for r in rr.original_ranks], top1
 
     if workers == 1:  # serial, so the default path starts no pool thread
         reranked = [_rerank(sl) for sl in shortlists]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             reranked = list(pool.map(_rerank, shortlists))
-    retrieval_order = np.arange(dists.shape[1])[None, :]
+    retrieval_order = np.arange(cand_rows.shape[1])[None, :]
     rerank_order = np.array([order for order, _ in reranked])
-    known = _KnownCounts(provider, {(sl.query_id, sl.db_ids[0]): count
-                                    for sl, (_, count) in zip(shortlists, reranked)
-                                    if count is not None})
+    known = _KnownCounts(provider, {(sl.query_id, sl.db_ids[0]): top1
+                                    for sl, (_, top1) in zip(shortlists, reranked)})
 
     def _scores(est: Estimator) -> list[UncertaintyScore]:
         return compute_uncertainties(shortlists, est, db_records=db_records,

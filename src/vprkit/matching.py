@@ -18,6 +18,7 @@ from .errors import (
     MatcherTimeout,
     MissingPairError,
     ValidationError,
+    VprError,
 )
 
 if TYPE_CHECKING:
@@ -39,12 +40,6 @@ class InlierTable:
     def counts(self) -> dict[tuple[str, str], int]:
         """Flat (query_id, db_id) -> count copy, built on each access."""
         return {(qid, db_id): n for qid, row in self.rows.items() for db_id, n in row.items()}
-
-    def inliers(self, query_id: str, db_id: str) -> int:
-        try:
-            return self.rows[query_id][db_id]
-        except KeyError:
-            raise MissingPairError(query_id, db_id) from None
 
 
 def load_inlier_table(path) -> InlierTable:
@@ -87,10 +82,9 @@ def write_inlier_table(table: InlierTable, path) -> None:
 
 
 class MatcherProvider:
-    """Source of inlier counts for (query, db) pairs."""
+    """Source of inlier counts for (query, db) pairs, asked by record id."""
 
-    def get_inliers(self, query_id: str, db_id: str,
-                    image_paths: tuple[str, str] | None = None) -> int:
+    def get_inliers(self, query_id: str, db_id: str) -> int:
         raise NotImplementedError
 
 
@@ -100,35 +94,46 @@ class TableProvider(MatcherProvider):
     def __init__(self, table: InlierTable):
         self.table = table
 
-    def get_inliers(self, query_id: str, db_id: str,
-                    image_paths: tuple[str, str] | None = None) -> int:
-        return self.table.inliers(query_id, db_id)
+    def get_inliers(self, query_id: str, db_id: str) -> int:
+        try:
+            return self.table.rows[query_id][db_id]
+        except KeyError:
+            pass
+        # raised outside the handler, so an error that rerank keeps holds no KeyError
+        raise MissingPairError(query_id, db_id)
 
 
 class _KnownCounts(MatcherProvider):
-    """``provider``, except that the pairs in ``known`` are not fetched again."""
+    """``provider``, except that the pairs in ``known`` are not fetched again.
 
-    def __init__(self, provider: MatcherProvider, known: dict[tuple[str, str], int]):
+    A known outcome is a count or the error its fetch raised, raised again.
+    """
+
+    def __init__(self, provider: MatcherProvider,
+                 known: dict[tuple[str, str], int | VprError]):
         self.provider = provider
         self.known = known
 
-    def get_inliers(self, query_id: str, db_id: str,
-                    image_paths: tuple[str, str] | None = None) -> int:
+    def get_inliers(self, query_id: str, db_id: str) -> int:
         count = self.known.get((query_id, db_id))
         if count is None:
-            return self.provider.get_inliers(query_id, db_id, image_paths)
+            return self.provider.get_inliers(query_id, db_id)
+        if isinstance(count, VprError):
+            raise count
         return count
 
 
 class SubprocessProvider(MatcherProvider):
     """Provider that shells out to an external matcher per pair.
 
-    The command template must contain {query} and {db} placeholders, replaced
-    by the two image paths. The process must exit 0; the last
-    whitespace-delimited token of stdout is parsed as the non-negative inlier
-    count, so wrapper scripts are free to log before it. At most
-    ``max_concurrent`` invocations run at once. ``subprocess``, ``shlex`` and
-    ``threading`` are imported here, their only user, so start-up skips them.
+    The only provider that takes image paths, as a third ``get_inliers``
+    argument. The command template must contain {query} and {db}
+    placeholders, replaced by the two paths; it is split into arguments
+    once, here. The process must exit 0; the last whitespace-delimited token
+    of stdout is parsed as the non-negative inlier count, so wrapper scripts
+    are free to log before it. At most ``max_concurrent`` invocations run at
+    once. ``subprocess``, ``shlex`` and ``threading`` are imported here, their
+    only user, so start-up skips them.
     """
 
     def __init__(self, command_template: str, timeout: float = 60.0, max_concurrent: int = 1):
@@ -138,18 +143,15 @@ class SubprocessProvider(MatcherProvider):
             raise ValidationError(f"timeout must be positive, got {timeout}")
         if max_concurrent < 1:
             raise ValidationError(f"max_concurrent must be >= 1, got {max_concurrent}")
-        self.command_template = command_template
+        import shlex
+        import threading
+        try:
+            self._tokens = shlex.split(command_template)
+        except ValueError as exc:
+            raise ValidationError(f"command template {command_template!r}: {exc}") from None
         self.timeout = timeout
         self.max_concurrent = max_concurrent
-        import threading
         self._slots = threading.BoundedSemaphore(max_concurrent)
-
-    def _build_argv(self, query_path: str, db_path: str) -> list[str]:
-        import shlex
-        argv = []
-        for token in shlex.split(self.command_template):
-            argv.append(token.replace("{query}", query_path).replace("{db}", db_path))
-        return argv
 
     def _run(self, argv: list[str]) -> subprocess.CompletedProcess:
         # separated out so tests can observe/replace the actual invocation
@@ -163,7 +165,8 @@ class SubprocessProvider(MatcherProvider):
                 f"subprocess matcher needs image paths for ({query_id}, {db_id})"
             )
         import subprocess
-        argv = self._build_argv(image_paths[0], image_paths[1])
+        query_path, db_path = image_paths
+        argv = [t.replace("{query}", query_path).replace("{db}", db_path) for t in self._tokens]
         with self._slots:
             try:
                 proc = self._run(argv)

@@ -28,7 +28,9 @@ class RerankedShortlist:
 
     ``inliers[i]`` is None when the count of that pair is unavailable, and
     ``original_ranks[i]`` is the 1-based rank of that candidate in the source
-    shortlist. ``diagnostics`` holds (db_id, message) for every failed fetch.
+    shortlist. ``diagnostics`` holds (db_id, error) for every failed fetch, in
+    shortlist order; the error is the one the provider raised, and its
+    ``str()`` is the message.
     """
 
     query_id: str
@@ -36,10 +38,7 @@ class RerankedShortlist:
     inliers: list[int | None]
     original_ranks: list[int]
     gate_fired: bool
-    diagnostics: list[tuple[str, str]] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.db_ids)
+    diagnostics: list[tuple[str, MissingPairError | MatcherError]] = field(default_factory=list)
 
     def ids(self) -> list[str]:
         return list(self.db_ids)
@@ -66,13 +65,13 @@ class GatePolicy:
 def rerank(shortlist: Shortlist, provider: MatcherProvider) -> RerankedShortlist:
     """Sort shortlist candidates by inlier count, descending."""
     counts: list[int | None] = []
-    diagnostics: list[tuple[str, str]] = []
+    diagnostics: list[tuple[str, MissingPairError | MatcherError]] = []
     for db_id in shortlist.db_ids:
         try:
             counts.append(provider.get_inliers(shortlist.query_id, db_id))
         except (MissingPairError, MatcherError) as exc:
             counts.append(None)
-            diagnostics.append((db_id, str(exc)))
+            diagnostics.append((db_id, exc.with_traceback(None)))  # kept: drop its frames
     keys = [1 if c is None else -c for c in counts]  # counts >= 0: missing sorts last
     order = sorted(range(len(counts)), key=keys.__getitem__)
     return RerankedShortlist(query_id=shortlist.query_id,

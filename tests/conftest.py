@@ -4,7 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from vprkit.dataset import GeoRecord, DescriptorBlob, Split
+from vprkit.dataset import GeoRecord, DescriptorBlob, Split, haversine_many
+from vprkit.errors import ValidationError
 from vprkit.matching import InlierTable
 
 
@@ -51,6 +52,21 @@ def inlier_table(counts):
     for (qid, db_id), n in counts.items():
         rows.setdefault(qid, {})[db_id] = n
     return InlierTable(rows=rows)
+
+
+def recall_at_k(results, query_records, db_records, k, threshold):
+    """Per-query reference for the batch recalls of ``evaluate_pipeline``:
+    percent of queries with a candidate within ``threshold`` in their top k."""
+    if len(results) == 0:
+        raise ValidationError("recall is undefined over zero queries")
+    hits = 0
+    for query_id, ranked in results.items():
+        q = query_records[query_id]
+        recs = [db_records[db_id] for db_id in ranked[:k]]
+        dists = haversine_many(q.lat, q.lon, [r.lat for r in recs], [r.lon for r in recs])
+        if (dists <= threshold.tau).any():
+            hits += 1
+    return 100.0 * hits / len(results)
 
 
 def sq_dists(vectors, query):

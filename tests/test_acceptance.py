@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from vprkit.dataset import DistanceThreshold, GeoRecord, haversine_many
-from vprkit.evaluation import auprc, evaluate_pipeline, pr_curve, recall_at_k
+from vprkit.evaluation import auprc, evaluate_pipeline, pr_curve
 from vprkit.matching import TableProvider
 from vprkit.rerank import GatePolicy, adaptive_rerank, rerank
 from vprkit.retrieval import Shortlist, build_index, search
 from vprkit.synth import SynthConfig, generate
 from vprkit.uncertainty import Estimator, LogisticModel, UncertaintyScore, fit_logistic, predict_prob
 
-from conftest import inlier_table, make_split
+from conftest import inlier_table, make_split, recall_at_k
 
 M_PER_DEG = 6_371_000.0 * math.pi / 180.0
 

@@ -221,9 +221,9 @@ def test_gate_fetches_each_pair_once(instance_dir, tmp_path, monkeypatch):
     calls = []
 
     class CountingProvider(cli.TableProvider):
-        def get_inliers(self, query_id, db_id, image_paths=None):
+        def get_inliers(self, query_id, db_id):
             calls.append((query_id, db_id))
-            return super().get_inliers(query_id, db_id, image_paths)
+            return super().get_inliers(query_id, db_id)
 
     monkeypatch.setattr(cli, "TableProvider", CountingProvider)
     gated = tmp_path / "g.csv"
@@ -241,7 +241,7 @@ def test_gate_fetches_each_pair_once(instance_dir, tmp_path, monkeypatch):
     table = cli.load_inlier_table(instance_dir / "inliers.csv")
     for r in rows:
         if r["inliers"]:
-            assert int(r["inliers"]) == table.inliers(r["query_id"], r["db_id"])
+            assert int(r["inliers"]) == table.rows[r["query_id"]][r["db_id"]]
 
 
 def test_calibrate_rejects_a_repeated_score_row(instance_dir, tmp_path, capsys):

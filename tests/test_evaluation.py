@@ -12,7 +12,6 @@ from vprkit.evaluation import (
     compute_uncertainties,
     evaluate_pipeline,
     pr_curve,
-    recall_at_k,
     write_pr_curves_csv,
 )
 from vprkit.matching import MatcherProvider, TableProvider
@@ -21,7 +20,7 @@ from vprkit.retrieval import build_index, search_all
 from vprkit.synth import SynthConfig, generate
 from vprkit.uncertainty import Estimator, fit_logistic
 
-from conftest import inlier_table, make_split
+from conftest import inlier_table, make_split, recall_at_k
 
 M_PER_DEG = 6_371_000.0 * math.pi / 180.0
 
@@ -300,22 +299,39 @@ class CountingProvider(MatcherProvider):
         self.inner = inner
         self.calls = 0
 
-    def get_inliers(self, query_id, db_id, image_paths=None):
+    def get_inliers(self, query_id, db_id):
         self.calls += 1
-        return self.inner.get_inliers(query_id, db_id, image_paths)
+        return self.inner.get_inliers(query_id, db_id)
 
 
 class TimeoutProvider(MatcherProvider):
-    """Times out on one pair and delegates every other."""
+    """Times out on one pair, counting how often it is asked, and delegates
+    every other."""
 
     def __init__(self, inner: MatcherProvider, pair: tuple[str, str]):
         self.inner = inner
         self.pair = pair
+        self.timeouts = 0
 
-    def get_inliers(self, query_id, db_id, image_paths=None):
+    def get_inliers(self, query_id, db_id):
         if (query_id, db_id) == self.pair:
+            self.timeouts += 1
             raise MatcherTimeout(query_id, db_id, "timed out after 1.0s")
-        return self.inner.get_inliers(query_id, db_id, image_paths)
+        return self.inner.get_inliers(query_id, db_id)
+
+
+class RecordIdProvider(MatcherProvider):
+    """A provider written to the signature the pipeline calls: record ids
+    only, over a flat {(query_id, db_id): count} dict."""
+
+    def __init__(self, counts):
+        self.counts = counts
+
+    def get_inliers(self, query_id, db_id):
+        try:
+            return self.counts[(query_id, db_id)]
+        except KeyError:
+            raise MissingPairError(query_id, db_id) from None
 
 
 def gated_instance(k=10):
@@ -385,6 +401,30 @@ class TestEvaluateMatchesPerQueryReference:
                     assert report.recalls[repr(tau)][system][str(kk)] == expected
 
 
+class TestRecordIdProvider:
+    def test_every_step_asks_by_record_id_only(self):
+        inst, shortlists, scores, policy = gated_instance()
+        table = TableProvider(inst.inliers)
+        provider = RecordIdProvider(inst.inliers.counts)
+        for sl, u in zip(shortlists, scores):
+            assert rerank(sl, provider) == rerank(sl, table)
+            assert adaptive_rerank(sl, provider, policy, u) == adaptive_rerank(sl, table, policy, u)
+        assert compute_uncertainties(shortlists, Estimator.INLIER, provider=provider) == scores
+        gate = {"gate_estimator": "inlier", "gate_model": policy.model}
+        want = evaluate_pipeline(inst.db, inst.queries, table, k=10, **gate).to_json()
+
+        pair = (shortlists[3].query_id, shortlists[3].db_ids[0])
+        without = {key: n for key, n in inst.inliers.counts.items() if key != pair}
+        for workers in (1, 2):
+            report = evaluate_pipeline(inst.db, inst.queries, provider, k=10, workers=workers,
+                                       **gate)
+            assert report.to_json() == want
+            with pytest.raises(MissingPairError) as err:
+                evaluate_pipeline(inst.db, inst.queries, RecordIdProvider(without), k=10,
+                                  workers=workers, **gate)
+            assert (err.value.query_id, err.value.db_id) == pair
+
+
 class TestEvaluateErrors:
     def test_zero_in_ks_rejected(self):
         inst = generate(SynthConfig(n_db=60, n_queries=20, dim=8, seed=570), k=5)
@@ -407,12 +447,14 @@ class TestEvaluateErrors:
         inst = generate(SynthConfig(n_db=60, n_queries=20, dim=8, seed=571), k=5)
         sl = search_all(build_index(inst.db), inst.queries, 5)[3]
         pair = (sl.query_id, sl.ids()[0])
-        with pytest.raises(MatcherTimeout) as err:
-            evaluate_pipeline(inst.db, inst.queries,
-                              TimeoutProvider(TableProvider(inst.inliers), pair),
-                              k=5, ks=(1,), gate_estimator="oracle", workers=2)
-        assert (err.value.query_id, err.value.db_id) == pair
-        assert f"({pair[0]}, {pair[1]})" in str(err.value)
+        for workers in (1, 2):
+            provider = TimeoutProvider(TableProvider(inst.inliers), pair)
+            with pytest.raises(MatcherTimeout) as err:
+                evaluate_pipeline(inst.db, inst.queries, provider,
+                                  k=5, ks=(1,), gate_estimator="oracle", workers=workers)
+            assert (err.value.query_id, err.value.db_id) == pair
+            assert f"({pair[0]}, {pair[1]})" in str(err.value)
+            assert provider.timeouts == 1  # a pair that timed out is not asked again
 
     def test_missing_lower_ranked_pair_sinks_in_rerank(self):
         base = (40.0, 9.0)

@@ -36,7 +36,7 @@ class TestInlierTable:
         write_csv(path, [("q1", "d1", 7), ("q1", "d2", 26), ("q2", "d1", 0)])
         table = load_inlier_table(path)
         assert len(table) == 3
-        assert table.inliers("q1", "d2") == 26
+        assert table.rows["q1"]["d2"] == 26
 
     def test_duplicate_pair_rejected(self, tmp_path):
         path = tmp_path / "i.csv"
@@ -69,18 +69,18 @@ class TestInlierTable:
             load_inlier_table(path)
 
     def test_missing_pair_is_distinct_outcome(self):
-        table = inlier_table({("q1", "d1"): 0})
-        assert table.inliers("q1", "d1") == 0
+        provider = TableProvider(inlier_table({("q1", "d1"): 0}))
+        assert provider.get_inliers("q1", "d1") == 0
         with pytest.raises(MissingPairError) as err:
-            table.inliers("q1", "d9")
+            provider.get_inliers("q1", "d9")
         assert err.value.query_id == "q1"
         assert err.value.db_id == "d9"
         assert "(q1, d9)" in str(err.value)
 
     def test_missing_query_names_the_pair(self):
-        table = inlier_table({("q1", "d1"): 0})
+        provider = TableProvider(inlier_table({("q1", "d1"): 0}))
         with pytest.raises(MissingPairError) as err:
-            table.inliers("q7", "d1")
+            provider.get_inliers("q7", "d1")
         assert (err.value.query_id, err.value.db_id) == ("q7", "d1")
         assert "(q7, d1)" in str(err.value)
 
@@ -173,6 +173,12 @@ class TestSubprocessProvider:
     def test_template_must_have_placeholders(self):
         with pytest.raises(ValidationError, match="placeholder"):
             SubprocessProvider("matcher --left only", timeout=30)
+
+    def test_unbalanced_quote_in_template_is_rejected_up_front(self):
+        template = 'matcher "{query} {db}'
+        with pytest.raises(ValidationError, match="No closing quotation") as err:
+            SubprocessProvider(template, timeout=30)
+        assert template in str(err.value)
 
     def test_invalid_limits(self):
         with pytest.raises(ValidationError):

@@ -1,6 +1,6 @@
 import pytest
 
-from vprkit.errors import ValidationError
+from vprkit.errors import MissingPairError, ValidationError
 from vprkit.matching import MatcherProvider, TableProvider
 from vprkit.rerank import GatePolicy, adaptive_rerank, rerank, write_reranked_csv
 from vprkit.retrieval import Shortlist
@@ -23,9 +23,9 @@ class CountingProvider(MatcherProvider):
         self.inner = inner
         self.calls = 0
 
-    def get_inliers(self, query_id, db_id, image_paths=None):
+    def get_inliers(self, query_id, db_id):
         self.calls += 1
-        return self.inner.get_inliers(query_id, db_id, image_paths)
+        return self.inner.get_inliers(query_id, db_id)
 
 
 # gate model mapping u=0 -> p ~ 0.007 and u=1 -> p ~ 0.993
@@ -85,6 +85,10 @@ class TestRerank:
         assert out.ids() == ["d", "b", "a", "c"]
         assert out.inliers == [3, 1, None, None]
         assert {db for db, _ in out.diagnostics} == {"a", "c"}
+        for db_id, err in out.diagnostics:
+            assert isinstance(err, MissingPairError) and (err.query_id, err.db_id) == ("q", db_id)
+            # a kept error holds no frames or KeyError
+            assert err.__traceback__ is None and err.__context__ is None
 
     def test_zero_count_beats_missing(self):
         sl = shortlist("q", ["a", "b"])
