@@ -146,13 +146,27 @@ def cmd_retrieve(args) -> int:
     return 0
 
 
+def _write_streamed(reranked, path, tally) -> int:
+    """Write re-ranked lists to ``path`` as they are made, so that none is
+    held after its rows are written; return the sum of ``tally`` over them."""
+    total = 0
+
+    def tallied():
+        nonlocal total
+        for rr in reranked:
+            total += tally(rr)
+            yield rr
+
+    write_reranked_csv(tallied(), path)
+    return total
+
+
 def cmd_rerank(args) -> int:
     shortlists = read_shortlists_csv(args.shortlists)
     provider = TableProvider(load_inlier_table(args.inliers))
-    reranked = [rerank(sl, provider) for sl in shortlists]
-    write_reranked_csv(reranked, args.out)
-    n_missing = sum(len(rr.diagnostics) for rr in reranked)
-    print(f"wrote {len(reranked)} reranked lists to {args.out} "
+    n_missing = _write_streamed((rerank(sl, provider) for sl in shortlists), args.out,
+                                lambda rr: len(rr.diagnostics))
+    print(f"wrote {len(shortlists)} reranked lists to {args.out} "
           f"({n_missing} pairs missing counts)")
     return 0
 
@@ -233,11 +247,9 @@ def cmd_gate(args) -> int:
         top1 = {(sl.query_id, sl.db_ids[0]): int(round(-scores[sl.query_id].u))
                 for sl in shortlists}
         provider = _KnownCounts(provider, top1)
-    reranked = [adaptive_rerank(sl, provider, policy, scores[sl.query_id])
-                for sl in shortlists]
-    write_reranked_csv(reranked, args.out)
-    fired = sum(1 for rr in reranked if rr.gate_fired)
-    print(f"gate fired for {fired}/{len(reranked)} queries; wrote {args.out}")
+    reranked = (adaptive_rerank(sl, provider, policy, scores[sl.query_id]) for sl in shortlists)
+    fired = _write_streamed(reranked, args.out, lambda rr: rr.gate_fired)
+    print(f"gate fired for {fired}/{len(shortlists)} queries; wrote {args.out}")
     return 0
 
 

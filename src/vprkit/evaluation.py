@@ -19,10 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import DistanceThreshold, Split, haversine_many
-from .errors import ValidationError, VprError
+from .errors import MatcherError, MissingPairError, ValidationError, VprError
 from .matching import MatcherProvider, _KnownCounts
-from .rerank import GatePolicy, rerank
-from .retrieval import BLOCK_ROWS, Shortlist, build_index, search_all
+from .rerank import GatePolicy
+from .retrieval import BLOCK_ROWS, build_index, search_all
 from .uncertainty import (
     Estimator,
     LogisticModel,
@@ -168,11 +168,14 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
     Every system is a permutation of the same shortlist positions: each reads
     one boolean queries x positions correctness matrix per tau through its
     own permutation, and a fired query reuses its full re-ranking order.
-    Every estimator goes through ``compute_uncertainties`` with ``provider``
-    wrapped in a ``_KnownCounts`` that holds the top-1 outcomes re-ranking
-    fetched, so each inlier pair is fetched once. A top-1 pair whose fetch
-    failed is held as its error, which ``u_inlier`` raises, so the
-    provider's own error names the pair.
+    Re-ranking asks ``provider.get_inliers`` for every pair into one queries
+    x positions key matrix and orders all queries with one stable argsort,
+    by ``rerank``'s rule. Every estimator goes through
+    ``compute_uncertainties`` with ``provider`` wrapped in a ``_KnownCounts``
+    that holds the top-1 outcomes (column 0) re-ranking fetched, so each
+    inlier pair is fetched once. A top-1 pair whose fetch failed is held as
+    its error, which ``u_inlier`` raises, so the provider's own error names
+    the pair.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
@@ -202,28 +205,41 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
         dists = haversine_many(q[..., 0], q[..., 1], cand[..., 0], cand[..., 1])
         for tau, limit in limits.items():
             correct[tau][lo:lo + BLOCK_ROWS] = dists <= limit
+    del cand_rows
 
-    def _rerank(sl: Shortlist) -> tuple[list[int], int | VprError]:
-        """The re-ranking order as shortlist positions, and the top-1 pair's
-        count or the error its fetch raised."""
+    # keys[i, j]: -count of candidate j of query i, or 1 where its fetch
+    # failed, so that a stable sort puts missing counts last (rerank's rule)
+    keys = np.empty(correct[taus[0]].shape, dtype=np.int64)
+    failed_top1: dict[int, VprError] = {}
+
+    def _fetch(i: int) -> None:
+        """Fill row i of keys; a pool thread writes only its own rows."""
+        sl = shortlists[i]
+        key_row = []
         try:
-            rr = rerank(sl, provider)
+            for db_id in sl.db_ids:
+                try:
+                    key_row.append(-provider.get_inliers(sl.query_id, db_id))
+                except (MissingPairError, MatcherError) as exc:
+                    if not key_row:
+                        failed_top1[i] = exc.with_traceback(None)  # kept: drop its frames
+                    key_row.append(1)
         except ValidationError as exc:
             raise ValidationError(f"query {sl.query_id!r}: {exc}") from exc
-        top1 = rr.inliers[rr.original_ranks.index(1)]
-        if top1 is None:
-            top1 = dict(rr.diagnostics)[sl.db_ids[0]]
-        return [r - 1 for r in rr.original_ranks], top1
+        keys[i] = key_row
 
     if workers == 1:  # serial, so the default path starts no pool thread
-        reranked = [_rerank(sl) for sl in shortlists]
+        for i in range(n_q):
+            _fetch(i)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            reranked = list(pool.map(_rerank, shortlists))
-    retrieval_order = np.arange(cand_rows.shape[1])[None, :]
-    rerank_order = np.array([order for order, _ in reranked])
-    known = _KnownCounts(provider, {(sl.query_id, sl.db_ids[0]): top1
-                                    for sl, (_, top1) in zip(shortlists, reranked)})
+            list(pool.map(_fetch, range(n_q)))
+    top1 = (-keys[:, 0]).tolist()
+    rerank_order = np.argsort(keys, axis=1, kind="stable")
+    del keys
+    retrieval_order = np.arange(rerank_order.shape[1])[None, :]
+    known = _KnownCounts(provider, {(sl.query_id, sl.db_ids[0]): failed_top1.get(i, top1[i])
+                                    for i, sl in enumerate(shortlists)})
 
     def _scores(est: Estimator) -> list[UncertaintyScore]:
         return compute_uncertainties(shortlists, est, db_records=db_records,

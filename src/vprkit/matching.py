@@ -129,11 +129,12 @@ class SubprocessProvider(MatcherProvider):
     The only provider that takes image paths, as a third ``get_inliers``
     argument. The command template must contain {query} and {db}
     placeholders, replaced by the two paths; it is split into arguments
-    once, here. The process must exit 0; the last whitespace-delimited token
-    of stdout is parsed as the non-negative inlier count, so wrapper scripts
-    are free to log before it. At most ``max_concurrent`` invocations run at
-    once. ``subprocess``, ``shlex`` and ``threading`` are imported here, their
-    only user, so start-up skips them.
+    once, here. The process must exit 0; stdout is read as bytes and its
+    last whitespace-delimited token is parsed as the non-negative inlier
+    count, so wrapper scripts are free to log before it, in any encoding. At
+    most ``max_concurrent`` invocations run at once. ``subprocess``,
+    ``shlex`` and ``threading`` are imported here, their only user, so
+    start-up skips them.
     """
 
     def __init__(self, command_template: str, timeout: float = 60.0, max_concurrent: int = 1):
@@ -156,7 +157,7 @@ class SubprocessProvider(MatcherProvider):
     def _run(self, argv: list[str]) -> subprocess.CompletedProcess:
         # separated out so tests can observe/replace the actual invocation
         import subprocess
-        return subprocess.run(argv, capture_output=True, text=True, timeout=self.timeout)
+        return subprocess.run(argv, capture_output=True, timeout=self.timeout)
 
     def get_inliers(self, query_id: str, db_id: str,
                     image_paths: tuple[str, str] | None = None) -> int:
@@ -174,14 +175,15 @@ class SubprocessProvider(MatcherProvider):
                 raise MatcherTimeout(query_id, db_id, f"timed out after {self.timeout}s") from None
         if proc.returncode != 0:
             raise MatcherExitError(query_id, db_id, f"exit status {proc.returncode}")
-        tokens = proc.stdout.split()
+        tokens = proc.stdout.split()  # bytes: a log line need not be valid UTF-8
         if not tokens:
             raise MatcherOutputError(query_id, db_id, "empty stdout")
         try:
             count = int(tokens[-1])
         except ValueError:
+            token = tokens[-1].decode("utf-8", errors="replace")
             raise MatcherOutputError(
-                query_id, db_id, f"last stdout token {tokens[-1]!r} is not an integer"
+                query_id, db_id, f"last stdout token {token!r} is not an integer"
             ) from None
         if count < 0:
             raise MatcherOutputError(query_id, db_id, f"negative inlier count {count}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .errors import MatcherError, MissingPairError, ValidationError
 from .matching import MatcherProvider
@@ -109,8 +110,11 @@ def adaptive_rerank(shortlist: Shortlist, provider: MatcherProvider, policy: Gat
                              gate_fired=False)
 
 
-def write_reranked_csv(reranked: list[RerankedShortlist], path) -> None:
-    """CSV export: query_id,new_rank,db_id,inliers,original_rank,gate_fired."""
+def write_reranked_csv(reranked: Iterable[RerankedShortlist], path) -> None:
+    """CSV export: query_id,new_rank,db_id,inliers,original_rank,gate_fired.
+
+    ``reranked`` may be any iterable, such as a generator, so that a caller
+    need not hold every list at once."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["query_id", "new_rank", "db_id", "inliers", "original_rank", "gate_fired"])

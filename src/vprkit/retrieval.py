@@ -139,6 +139,7 @@ def read_shortlists_csv(path) -> list[Shortlist]:
     """Read shortlists written by write_shortlists_csv, in first-appearance order;
     a query's rows may come in any order, but its ranks must be exactly 1..n."""
     columns: dict[str, tuple[list[int], list[str], list[float]]] = {}
+    db_names: dict[str, str] = {}  # one string object per distinct db id
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -159,7 +160,7 @@ def read_shortlists_csv(path) -> list[Shortlist]:
             if cols is None:
                 cols = columns[qid] = ([], [], [])
             cols[0].append(rank)
-            cols[1].append(db_id)
+            cols[1].append(db_names.setdefault(db_id, db_id))
             cols[2].append(dist)
     shortlists = []
     for qid, (ranks, db_ids, dists) in columns.items():

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import hashlib
 import json
 import math
 import struct
@@ -33,6 +32,11 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 from .errors import ValidationError
 from .matching import MatcherProvider
 from .retrieval import Shortlist
+
+try:  # the builtin that hashlib.blake2b is; hashlib itself would load OpenSSL
+    from _blake2 import blake2b
+except ImportError:  # pragma: no cover - an interpreter built without it
+    from hashlib import blake2b
 
 if TYPE_CHECKING:
     import numpy as np
@@ -147,7 +151,7 @@ def u_sue(shortlist: Shortlist, db_records: Mapping[str, GeoRecord],
 def u_random(query_id: str, seed: int) -> UncertaintyScore:
     """Uniform [0, 1), deterministic in (seed, query_id), order-independent."""
     key = struct.pack("<Q", seed & 0xFFFFFFFFFFFFFFFF)
-    digest = hashlib.blake2b(query_id.encode("utf-8"), digest_size=8, key=key).digest()
+    digest = blake2b(query_id.encode("utf-8"), digest_size=8, key=key).digest()
     u = struct.unpack("<Q", digest)[0] / 2.0**64
     return UncertaintyScore(query_id, Estimator.RANDOM, u)
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from vprkit import cli
 from vprkit.cli import main
 from vprkit.dataset import haversine_many
-from vprkit.retrieval import Shortlist, write_shortlists_csv
+from vprkit.matching import load_inlier_table
+from vprkit.retrieval import Shortlist, read_shortlists_csv, write_shortlists_csv
 from vprkit.uncertainty import (
     Estimator,
     LogisticModel,
@@ -242,6 +244,36 @@ def test_gate_fetches_each_pair_once(instance_dir, tmp_path, monkeypatch):
     for r in rows:
         if r["inliers"]:
             assert int(r["inliers"]) == table.rows[r["query_id"]][r["db_id"]]
+
+
+def test_rerank_holds_its_inputs_and_one_list_at_a_time(tmp_path):
+    # 200 shortlists of 50 against a table holding every other pair: every
+    # list kept until the CSV is written would hold 25 errors each
+    n_q, k = 200, 50
+    with open(tmp_path / "s.csv", "w") as fh:
+        fh.write("query_id,rank,db_id,distance\n")
+        for i in range(n_q):
+            fh.writelines(f"q{i},{r + 1},d{(7 * i + r) % 1000},{0.1 * r!r}\n" for r in range(k))
+    with open(tmp_path / "i.csv", "w") as fh:
+        fh.write("query_id,db_id,inliers\n")
+        for i in range(n_q):
+            fh.writelines(f"q{i},d{(7 * i + r) % 1000},{r}\n" for r in range(0, k, 2))
+    tracemalloc.start()
+    try:
+        inputs = (read_shortlists_csv(tmp_path / "s.csv"), load_inlier_table(tmp_path / "i.csv"))
+        held = tracemalloc.get_traced_memory()[0]
+        del inputs
+        tracemalloc.reset_peak()
+        run_ok(["rerank", "--shortlists", str(tmp_path / "s.csv"),
+                "--inliers", str(tmp_path / "i.csv"), "--out", str(tmp_path / "r.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * held  # 3.4 times when every list is held
+    with open(tmp_path / "r.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == n_q * k
+    assert sum(1 for r in rows if not r["inliers"]) == n_q * k // 2
 
 
 def test_calibrate_rejects_a_repeated_score_row(instance_dir, tmp_path, capsys):

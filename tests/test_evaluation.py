@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -247,6 +248,29 @@ class TestEvaluatePipeline:
         ]
         assert len(set(reports)) == 1
 
+    def test_eight_threads_fill_the_key_matrix_like_one(self):
+        # every third pair is missing, so rows mix counts and sunk pairs; a
+        # short switch interval makes the pool threads interleave often
+        config = SynthConfig(n_db=300, n_queries=200, dim=16, target_retrieval_r1=0.7,
+                             matcher_quality=0.9, seed=563)
+        inst = generate(config, k=20)
+        counts = {key: n for i, (key, n) in enumerate(inst.inliers.counts.items()) if i % 3}
+        provider = TableProvider(inlier_table(counts))
+        shortlists = search_all(build_index(inst.db), inst.queries, 20)
+        reranked = {sl.query_id: rerank(sl, provider).ids() for sl in shortlists}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reports = [evaluate_pipeline(inst.db, inst.queries, provider, k=20, ks=(1, 5),
+                                         estimators=(), gate_estimator="oracle", workers=w)
+                       for w in (1, 8)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports[0].to_json() == reports[1].to_json()
+        for kk in (1, 5):
+            assert reports[1].recalls["25.0"]["rerank"][str(kk)] == recall_at_k(
+                reranked, inst.queries.by_id, inst.db.by_id, kk, DistanceThreshold(25.0))
+
     def test_fitted_gate_reports_metadata(self):
         config = SynthConfig(n_db=300, n_queries=200, dim=16, target_retrieval_r1=0.8,
                              matcher_quality=0.95, seed=559)
@@ -317,6 +341,19 @@ class TimeoutProvider(MatcherProvider):
         if (query_id, db_id) == self.pair:
             self.timeouts += 1
             raise MatcherTimeout(query_id, db_id, "timed out after 1.0s")
+        return self.inner.get_inliers(query_id, db_id)
+
+
+class InvalidPairProvider(MatcherProvider):
+    """Raises ValidationError on one pair and delegates every other."""
+
+    def __init__(self, inner: MatcherProvider, pair: tuple[str, str]):
+        self.inner = inner
+        self.pair = pair
+
+    def get_inliers(self, query_id, db_id):
+        if (query_id, db_id) == self.pair:
+            raise ValidationError(f"cannot match ({query_id}, {db_id})")
         return self.inner.get_inliers(query_id, db_id)
 
 
@@ -455,6 +492,17 @@ class TestEvaluateErrors:
             assert (err.value.query_id, err.value.db_id) == pair
             assert f"({pair[0]}, {pair[1]})" in str(err.value)
             assert provider.timeouts == 1  # a pair that timed out is not asked again
+
+    def test_provider_validation_error_names_the_query(self):
+        inst = generate(SynthConfig(n_db=60, n_queries=20, dim=8, seed=571), k=5)
+        sl = search_all(build_index(inst.db), inst.queries, 5)[3]
+        pair = (sl.query_id, sl.db_ids[2])
+        for workers in (1, 2):
+            provider = InvalidPairProvider(TableProvider(inst.inliers), pair)
+            with pytest.raises(ValidationError) as err:
+                evaluate_pipeline(inst.db, inst.queries, provider,
+                                  k=5, ks=(1,), gate_estimator="oracle", workers=workers)
+            assert str(err.value) == f"query {pair[0]!r}: cannot match ({pair[0]}, {pair[1]})"
 
     def test_missing_lower_ranked_pair_sinks_in_rerank(self):
         base = (40.0, 9.0)

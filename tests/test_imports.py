@@ -19,7 +19,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Runs ``vprkit.cli`` as ``python -m vprkit.cli`` would, with numpy made
 # unimportable when the first argument is "no-numpy", and prints the vprkit
-# modules that were loaded once the command has exited.
+# modules that were loaded once the command has exited, and ``_hashlib``
+# (hashlib's OpenSSL binding) if that was loaded too.
 RUN_CLI = """
 import runpy, sys
 if sys.argv[1] == "no-numpy":
@@ -28,7 +29,7 @@ sys.argv[:2] = ["vprkit"]
 try:
     runpy.run_module("vprkit.cli", run_name="__main__")
 finally:
-    print(" ".join(sorted(m for m in sys.modules if m.startswith("vprkit"))))
+    print(" ".join(sorted(m for m in sys.modules if m.startswith("vprkit") or m == "_hashlib")))
 """
 
 
@@ -83,6 +84,10 @@ def commands(d):
         "calibrate": ["calibrate", "--scores", str(d / "scores.csv"), *sl,
                       "--query-manifest", str(d / "queries.jsonl"),
                       "--db-manifest", str(d / "db.jsonl")],
+        "evaluate": ["evaluate", "--db-manifest", str(d / "db.jsonl"),
+                     "--db-blob", str(d / "db.vprd"), "--query-manifest",
+                     str(d / "queries.jsonl"), "--query-blob", str(d / "queries.vprd"),
+                     *inl, "--k", "20"],
     }
 
 
@@ -127,3 +132,16 @@ def test_rerank_stays_the_function_after_every_submodule_is_imported():
     proc = python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "True\n"
+
+
+@pytest.mark.parametrize("name", ["retrieve", "rerank", "uncertainty-inlier", "uncertainty-l2",
+                                  "uncertainty-pa", "uncertainty-sue", "uncertainty-random",
+                                  "calibrate", "gate-inlier", "evaluate"])
+def test_no_command_loads_openssl(inst, tmp_path, name):
+    # u_random's blake2b is the builtin _blake2 one; hashlib would map OpenSSL
+    proc = python("-c", "import sys; print('_hashlib' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout == "True\n":
+        pytest.skip("site hooks load _hashlib before any vprkit code runs")
+    loaded = run_cli([*commands(inst)[name], "--out", str(tmp_path / "out")])
+    assert "_hashlib" not in loaded

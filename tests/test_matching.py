@@ -142,6 +142,19 @@ class TestSubprocessProvider:
             _py_cmd("print('loading model...'); print('matched pair'); print(42)"), timeout=30)
         assert provider.get_inliers("q", "d", ("a.png", "b.png")) == 42
 
+    def test_wrapper_logging_need_not_be_utf8(self):
+        code = "import sys; sys.stdout.buffer.write(bytes([255]) + b' log' + bytes([10]) + b'42')"
+        provider = SubprocessProvider(_py_cmd(code), timeout=30)
+        assert provider.get_inliers("q", "d", ("a.png", "b.png")) == 42
+
+    def test_a_lone_invalid_byte_names_the_pair(self):
+        code = "import sys; sys.stdout.buffer.write(bytes([255]))"
+        provider = SubprocessProvider(_py_cmd(code), timeout=30)
+        with pytest.raises(MatcherOutputError) as err:
+            provider.get_inliers("q3", "d5", ("a.png", "b.png"))
+        assert "(q3, d5)" in str(err.value)
+        assert "last stdout token '\ufffd' is not an integer" in str(err.value)
+
     def test_paths_are_substituted(self, tmp_path):
         out = tmp_path / "args.txt"
         code = f"import sys; open(r'{out}','w').write(' '.join(sys.argv[1:])); print(3)"
@@ -198,7 +211,7 @@ class TestSubprocessProvider:
             time.sleep(0.02)
             with lock:
                 state["active"] -= 1
-            return subprocess.CompletedProcess(argv, 0, stdout="5\n", stderr="")
+            return subprocess.CompletedProcess(argv, 0, stdout=b"5\n", stderr=b"")
 
         provider._run = fake_run
         threads = [

@@ -421,6 +421,14 @@ class TestShortlistCsv:
         assert [sl.query_id for sl in loaded] == ["qb", "qa"]
         assert [sl.ids() for sl in loaded] == [["d0", "d1"], ["d5", "d6"]]
 
+    def test_equal_db_ids_are_one_string(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("query_id,rank,db_id,distance\n"
+                        "qa,1,d7,0.1\nqa,2,d8,0.2\nqb,1,d8,0.3\nqb,2,d7,0.4\n")
+        qa, qb = read_shortlists_csv(path)
+        assert qa.db_ids[0] is qb.db_ids[1]
+        assert qa.db_ids[1] is qb.db_ids[0]
+
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("nope,fields\n")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import statistics
@@ -163,6 +164,13 @@ class TestRandom:
         forward = {f"q{i}": u_random(f"q{i}", 9).u for i in range(50)}
         backward = {f"q{i}": u_random(f"q{i}", 9).u for i in reversed(range(50))}
         assert forward == backward
+
+    @pytest.mark.parametrize("seed", [0, 7, -1, 2**64 + 3])
+    @pytest.mark.parametrize("query_id", ["q_00042", "Zürich-東京"])
+    def test_equals_hashlib_blake2b_keyed_by_the_seed(self, seed, query_id):
+        key = (seed % 2**64).to_bytes(8, "little")
+        digest = hashlib.blake2b(query_id.encode("utf-8"), digest_size=8, key=key).digest()
+        assert u_random(query_id, seed).u == int.from_bytes(digest, "little") / 2.0**64
 
 
 class TestInlierUncertainty:
