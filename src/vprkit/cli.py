@@ -22,6 +22,7 @@ from .uncertainty import (
     compute_uncertainties,
     fit_logistic,
     read_scores_csv,
+    score_prob,
     write_scores_csv,
 )
 
@@ -199,7 +200,11 @@ def _read_model(path) -> LogisticModel | None:
 def cmd_uncertainty(args) -> int:
     shortlists = read_shortlists_csv(args.shortlists)
     scores = _scores_for(args, shortlists)
-    write_scores_csv(scores, args.out, model=_read_model(args.model))
+    model = _read_model(args.model)
+    if model is not None:  # a score the model cannot map fails before --out is opened
+        for s in scores:
+            score_prob(model, s)
+    write_scores_csv(scores, args.out, model=model)
     print(f"wrote {len(scores)} scores to {args.out}")
     return 0
 
@@ -242,6 +247,8 @@ def cmd_gate(args) -> int:
     policy = GatePolicy(model=_read_model(args.model), threshold=args.threshold,
                         estimator=args.estimator)
     scores = {s.query_id: s for s in _scores_for(args, shortlists, provider)}
+    for s in scores.values():  # a score no gate can decide fails before --out is opened
+        policy.fires(s)
     if policy.estimator is Estimator.INLIER:
         # each inlier score is its top-1 count, negated; a fired gate reuses it
         top1 = {(sl.query_id, sl.db_ids[0]): int(round(-scores[sl.query_id].u))

@@ -19,9 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import DistanceThreshold, Split, haversine_many
-from .errors import MatcherError, MissingPairError, ValidationError, VprError
+from .errors import ValidationError, VprError
 from .matching import MatcherProvider, _KnownCounts
-from .rerank import GatePolicy
+from .rerank import MISSING_KEY, GatePolicy, inlier_keys
 from .retrieval import BLOCK_ROWS, build_index, search_all
 from .uncertainty import (
     Estimator,
@@ -168,14 +168,14 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
     Every system is a permutation of the same shortlist positions: each reads
     one boolean queries x positions correctness matrix per tau through its
     own permutation, and a fired query reuses its full re-ranking order.
-    Re-ranking asks ``provider.get_inliers`` for every pair into one queries
-    x positions key matrix and orders all queries with one stable argsort,
-    by ``rerank``'s rule. Every estimator goes through
-    ``compute_uncertainties`` with ``provider`` wrapped in a ``_KnownCounts``
-    that holds the top-1 outcomes (column 0) re-ranking fetched, so each
-    inlier pair is fetched once. A top-1 pair whose fetch failed is held as
-    its error, which ``u_inlier`` raises, so the provider's own error names
-    the pair.
+    Re-ranking writes each shortlist's ``inlier_keys`` row, which asks
+    ``provider.get_inliers`` for every pair, into one queries x positions key
+    matrix and orders all queries with one stable argsort. Every estimator
+    goes through ``compute_uncertainties`` with ``provider`` wrapped in a
+    ``_KnownCounts`` that holds the top-1 outcomes (column 0) re-ranking
+    fetched, so each inlier pair is fetched once. A top-1 pair whose fetch
+    failed is held as its error, which ``u_inlier`` raises, so the
+    provider's own error names the pair.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
@@ -207,26 +207,20 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
             correct[tau][lo:lo + BLOCK_ROWS] = dists <= limit
     del cand_rows
 
-    # keys[i, j]: -count of candidate j of query i, or 1 where its fetch
-    # failed, so that a stable sort puts missing counts last (rerank's rule)
+    # keys[i, j]: the sort key of candidate j of query i (rerank's rule)
     keys = np.empty(correct[taus[0]].shape, dtype=np.int64)
     failed_top1: dict[int, VprError] = {}
 
     def _fetch(i: int) -> None:
         """Fill row i of keys; a pool thread writes only its own rows."""
         sl = shortlists[i]
-        key_row = []
         try:
-            for db_id in sl.db_ids:
-                try:
-                    key_row.append(-provider.get_inliers(sl.query_id, db_id))
-                except (MissingPairError, MatcherError) as exc:
-                    if not key_row:
-                        failed_top1[i] = exc.with_traceback(None)  # kept: drop its frames
-                    key_row.append(1)
+            key_row, diagnostics = inlier_keys(sl, provider)
         except ValidationError as exc:
             raise ValidationError(f"query {sl.query_id!r}: {exc}") from exc
         keys[i] = key_row
+        if key_row[0] == MISSING_KEY:  # the first failed fetch is the top-1 pair's
+            failed_top1[i] = diagnostics[0][1]
 
     if workers == 1:  # serial, so the default path starts no pool thread
         for i in range(n_q):

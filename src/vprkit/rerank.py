@@ -63,21 +63,37 @@ class GatePolicy:
         return score_prob(self.model, score) > self.threshold
 
 
-def rerank(shortlist: Shortlist, provider: MatcherProvider) -> RerankedShortlist:
-    """Sort shortlist candidates by inlier count, descending."""
-    counts: list[int | None] = []
+MISSING_KEY = 1  # the sort key of a pair with no count; counts are >= 0, so it sorts last
+
+
+def inlier_keys(shortlist: Shortlist, provider: MatcherProvider
+                ) -> tuple[list[int], list[tuple[str, MissingPairError | MatcherError]]]:
+    """Fetch every pair of ``shortlist`` once, in shortlist order.
+
+    Returns the sort key of each pair, -count or ``MISSING_KEY`` where its
+    fetch raised ``MissingPairError`` or ``MatcherError``, and the
+    (db_id, error) of each failed fetch. A stable ascending sort of the keys
+    is the re-ranking order. Any other error, such as a ``ValidationError``,
+    propagates.
+    """
+    keys: list[int] = []
     diagnostics: list[tuple[str, MissingPairError | MatcherError]] = []
     for db_id in shortlist.db_ids:
         try:
-            counts.append(provider.get_inliers(shortlist.query_id, db_id))
+            keys.append(-provider.get_inliers(shortlist.query_id, db_id))
         except (MissingPairError, MatcherError) as exc:
-            counts.append(None)
+            keys.append(MISSING_KEY)
             diagnostics.append((db_id, exc.with_traceback(None)))  # kept: drop its frames
-    keys = [1 if c is None else -c for c in counts]  # counts >= 0: missing sorts last
-    order = sorted(range(len(counts)), key=keys.__getitem__)
+    return keys, diagnostics
+
+
+def rerank(shortlist: Shortlist, provider: MatcherProvider) -> RerankedShortlist:
+    """Sort shortlist candidates by inlier count, descending."""
+    keys, diagnostics = inlier_keys(shortlist, provider)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
     return RerankedShortlist(query_id=shortlist.query_id,
                              db_ids=[shortlist.db_ids[i] for i in order],
-                             inliers=[counts[i] for i in order],
+                             inliers=[None if keys[i] == MISSING_KEY else -keys[i] for i in order],
                              original_ranks=[i + 1 for i in order],
                              gate_fired=True, diagnostics=diagnostics)
 

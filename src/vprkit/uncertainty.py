@@ -33,10 +33,8 @@ from .errors import ValidationError
 from .matching import MatcherProvider
 from .retrieval import Shortlist
 
-try:  # the builtin that hashlib.blake2b is; hashlib itself would load OpenSSL
-    from _blake2 import blake2b
-except ImportError:  # pragma: no cover - an interpreter built without it
-    from hashlib import blake2b
+# the builtin that hashlib.blake2b always is; importing hashlib would load OpenSSL
+from _blake2 import blake2b
 
 if TYPE_CHECKING:
     import numpy as np
