@@ -1,4 +1,4 @@
-"""Hot numeric kernels in numpy: exact top-k squared L2 search and haversine.
+"""The hot numeric kernel in numpy: exact top-k squared L2 search.
 
 ``top_k`` screens a block of queries against every float32 row with one
 float32 GEMM, ŝ = ‖x‖² − 2x·q̃ with q̃ = fl32(q) (Johnson, Douze & Jégou,
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-EARTH_RADIUS_M = 6_371_000.0
 SCREEN_REACH = (float(np.finfo(np.float32).max) / 2.0) ** 0.5  # largest R screened
 
 
@@ -84,18 +83,3 @@ def top_k(vectors: np.ndarray, vector_sq_norms: np.ndarray, queries: np.ndarray,
     rows, cols, exact = rows[order], cols[order], exact[order]
     top = np.arange(len(rows)) - np.searchsorted(rows, rows) < kk  # rank in query
     return cols[top].reshape(-1, kk), exact[top].reshape(-1, kk)
-
-
-def haversine_m(lat1: np.ndarray, lon1: np.ndarray,
-                lat2: np.ndarray, lon2: np.ndarray) -> np.ndarray:
-    """Great-circle distance in meters between coordinate arrays (degrees).
-
-    Inputs broadcast against each other like any numpy ufunc arguments.
-    """
-    p1 = np.radians(lat1)
-    p2 = np.radians(lat2)
-    dp = np.radians(lat2 - lat1)
-    dl = np.radians(lon2 - lon1)
-    a = np.sin(dp / 2.0) ** 2 + np.cos(p1) * np.cos(p2) * np.sin(dl / 2.0) ** 2
-    # clip guards rounding just above 1.0 for near-antipodal pairs
-    return EARTH_RADIUS_M * 2.0 * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))

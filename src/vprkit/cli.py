@@ -22,7 +22,6 @@ from .uncertainty import (
     compute_uncertainties,
     fit_logistic,
     read_scores_csv,
-    score_prob,
     write_scores_csv,
 )
 
@@ -147,26 +146,10 @@ def cmd_retrieve(args) -> int:
     return 0
 
 
-def _write_streamed(reranked, path, tally) -> int:
-    """Write re-ranked lists to ``path`` as they are made, so that none is
-    held after its rows are written; return the sum of ``tally`` over them."""
-    total = 0
-
-    def tallied():
-        nonlocal total
-        for rr in reranked:
-            total += tally(rr)
-            yield rr
-
-    write_reranked_csv(tallied(), path)
-    return total
-
-
 def cmd_rerank(args) -> int:
     shortlists = read_shortlists_csv(args.shortlists)
     provider = TableProvider(load_inlier_table(args.inliers))
-    n_missing = _write_streamed((rerank(sl, provider) for sl in shortlists), args.out,
-                                lambda rr: len(rr.diagnostics))
+    n_missing = write_reranked_csv((rerank(sl, provider) for sl in shortlists), args.out)
     print(f"wrote {len(shortlists)} reranked lists to {args.out} "
           f"({n_missing} pairs missing counts)")
     return 0
@@ -200,11 +183,7 @@ def _read_model(path) -> LogisticModel | None:
 def cmd_uncertainty(args) -> int:
     shortlists = read_shortlists_csv(args.shortlists)
     scores = _scores_for(args, shortlists)
-    model = _read_model(args.model)
-    if model is not None:  # a score the model cannot map fails before --out is opened
-        for s in scores:
-            score_prob(model, s)
-    write_scores_csv(scores, args.out, model=model)
+    write_scores_csv(scores, args.out, model=_read_model(args.model))
     print(f"wrote {len(scores)} scores to {args.out}")
     return 0
 
@@ -246,16 +225,16 @@ def cmd_gate(args) -> int:
     provider = TableProvider(load_inlier_table(args.inliers))
     policy = GatePolicy(model=_read_model(args.model), threshold=args.threshold,
                         estimator=args.estimator)
-    scores = {s.query_id: s for s in _scores_for(args, shortlists, provider)}
-    for s in scores.values():  # a score no gate can decide fails before --out is opened
-        policy.fires(s)
+    scores = _scores_for(args, shortlists, provider)
+    # every gate is decided before --out is opened, so a bad score leaves no file
+    fired = sum(policy.fires(s) for s in scores)
     if policy.estimator is Estimator.INLIER:
         # each inlier score is its top-1 count, negated; a fired gate reuses it
-        top1 = {(sl.query_id, sl.db_ids[0]): int(round(-scores[sl.query_id].u))
-                for sl in shortlists}
+        top1 = {(sl.query_id, sl.db_ids[0]): int(round(-s.u))
+                for sl, s in zip(shortlists, scores)}
         provider = _KnownCounts(provider, top1)
-    reranked = (adaptive_rerank(sl, provider, policy, scores[sl.query_id]) for sl in shortlists)
-    fired = _write_streamed(reranked, args.out, lambda rr: rr.gate_fired)
+    write_reranked_csv((adaptive_rerank(sl, provider, policy, s)
+                        for sl, s in zip(shortlists, scores)), args.out)
     print(f"gate fired for {fired}/{len(shortlists)} queries; wrote {args.out}")
     return 0
 

@@ -18,13 +18,12 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from . import _kernels
 from .errors import ValidationError
 
 BLOB_MAGIC = b"VPRD"
 NORM_TOLERANCE = 1e-4
 BLOCK_VALUES = 1 << 14  # floats per ingest check block: 128 KiB as float64
-EARTH_RADIUS_M = _kernels.EARTH_RADIUS_M
+EARTH_RADIUS_M = 6_371_000.0
 
 
 @dataclass(frozen=True)
@@ -106,11 +105,9 @@ def read_manifest(path) -> list[GeoRecord]:
             rid, lat, lon = obj["id"], obj["lat"], obj["lon"]
             if not isinstance(rid, str) or not rid:
                 raise ValidationError(f"{path}: line {lineno}: id must be a non-empty string")
-            try:
-                lat = float(lat)
-                lon = float(lon)
-            except (TypeError, ValueError):
-                raise ValidationError(f"{path}: line {lineno}: lat/lon not numeric") from None
+            if type(lat) not in (int, float) or type(lon) not in (int, float):  # not bool
+                raise ValidationError(f"{path}: line {lineno}: lat/lon not numeric")
+            lat, lon = float(lat), float(lon)
             if not (math.isfinite(lat) and math.isfinite(lon)):
                 raise ValidationError(f"{path}: line {lineno}: non-finite coordinates")
             if rid in seen:
@@ -193,7 +190,10 @@ def haversine_many(lat1, lon1, lat2, lon2) -> np.ndarray:
     Arguments broadcast against each other, so a scalar query coordinate can
     be paired with arrays of candidate coordinates.
     """
-    return _kernels.haversine_m(
-        np.asarray(lat1, dtype=np.float64), np.asarray(lon1, dtype=np.float64),
-        np.asarray(lat2, dtype=np.float64), np.asarray(lon2, dtype=np.float64),
-    )
+    lat1, lon1, lat2, lon2 = (np.asarray(a, dtype=np.float64) for a in (lat1, lon1, lat2, lon2))
+    p1, p2 = np.radians(lat1), np.radians(lat2)
+    dp = np.radians(lat2 - lat1)
+    dl = np.radians(lon2 - lon1)
+    a = np.sin(dp / 2.0) ** 2 + np.cos(p1) * np.cos(p2) * np.sin(dl / 2.0) ** 2
+    # clip guards rounding just above 1.0 for near-antipodal pairs
+    return EARTH_RADIUS_M * 2.0 * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))

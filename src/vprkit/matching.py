@@ -9,6 +9,7 @@ never degrade to zero: zero inliers is itself a meaningful measurement.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -25,6 +26,7 @@ if TYPE_CHECKING:
     import subprocess
 
 INLIER_CSV_HEADER = ["query_id", "db_id", "inliers"]
+_PLACEHOLDER = re.compile(r"\{query\}|\{db\}")
 
 
 @dataclass
@@ -167,7 +169,9 @@ class SubprocessProvider(MatcherProvider):
             )
         import subprocess
         query_path, db_path = image_paths
-        argv = [t.replace("{query}", query_path).replace("{db}", db_path) for t in self._tokens]
+        # one pass per token, so a path that holds a placeholder is not substituted into
+        paths = {"{query}": query_path, "{db}": db_path}
+        argv = [_PLACEHOLDER.sub(lambda m: paths[m.group()], t) for t in self._tokens]
         with self._slots:
             try:
                 proc = self._run(argv)

@@ -126,11 +126,13 @@ def adaptive_rerank(shortlist: Shortlist, provider: MatcherProvider, policy: Gat
                              gate_fired=False)
 
 
-def write_reranked_csv(reranked: Iterable[RerankedShortlist], path) -> None:
+def write_reranked_csv(reranked: Iterable[RerankedShortlist], path) -> int:
     """CSV export: query_id,new_rank,db_id,inliers,original_rank,gate_fired.
 
     ``reranked`` may be any iterable, such as a generator, so that a caller
-    need not hold every list at once."""
+    need not hold every list at once. Returns the number of rows written with
+    a blank ``inliers`` cell."""
+    blank = 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["query_id", "new_rank", "db_id", "inliers", "original_rank", "gate_fired"])
@@ -138,5 +140,7 @@ def write_reranked_csv(reranked: Iterable[RerankedShortlist], path) -> None:
             fired = "true" if rr.gate_fired else "false"
             rows = zip(rr.db_ids, rr.inliers, rr.original_ranks)
             for new_rank, (db_id, count, original_rank) in enumerate(rows, start=1):
+                blank += count is None
                 inliers = "" if count is None else str(count)
                 writer.writerow([rr.query_id, new_rank, db_id, inliers, original_rank, fired])
+    return blank

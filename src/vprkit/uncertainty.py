@@ -76,6 +76,10 @@ class LogisticModel:
     fit_losses: tuple[float, ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("w", "b", "mean", "std"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"model field {name!r} must be finite, got {value}")
         if not self.std > 0:
             raise ValidationError(f"feature std must be positive, got {self.std}")
 
@@ -282,13 +286,16 @@ def score_prob(model: LogisticModel, score: UncertaintyScore) -> float:
 
 def write_scores_csv(scores: Iterable[UncertaintyScore], path,
                      model: LogisticModel | None = None) -> None:
-    """CSV export: query_id,estimator,u,prob (prob blank when uncalibrated)."""
+    """CSV export: query_id,estimator,u,prob (prob blank when uncalibrated).
+
+    Every row is built before ``path`` is opened, so a score the model cannot
+    map raises with no file written."""
+    rows = [[s.query_id, s.estimator.value, repr(s.u),
+             "" if model is None else repr(score_prob(model, s))] for s in scores]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["query_id", "estimator", "u", "prob"])
-        for s in scores:
-            prob = "" if model is None else repr(score_prob(model, s))
-            writer.writerow([s.query_id, s.estimator.value, repr(s.u), prob])
+        writer.writerows(rows)
 
 
 def read_scores_csv(path) -> list[UncertaintyScore]:

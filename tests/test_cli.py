@@ -9,7 +9,7 @@ import pytest
 from vprkit import cli
 from vprkit.cli import main
 from vprkit.dataset import haversine_many
-from vprkit.matching import load_inlier_table
+from vprkit.matching import InlierTable, load_inlier_table, write_inlier_table
 from vprkit.retrieval import Shortlist, read_shortlists_csv, write_shortlists_csv
 from vprkit.uncertainty import (
     Estimator,
@@ -402,4 +402,69 @@ def test_a_non_finite_score_leaves_no_output(command, tmp_path):
     code = main([command, "--shortlists", str(tmp_path / "s.csv"), "--estimator", "l2",
                  "--model", str(model), *extra, "--out", str(out)])
     assert code == 1
+    assert not out.exists()
+
+
+@pytest.fixture
+def thinned(instance_dir, tmp_path):
+    """Shortlists of 10 and the instance's counts for them, less every third
+    pair of each list (ranks 3, 6 and 9), so each top-1 pair keeps its count."""
+    shortlists = tmp_path / "s.csv"
+    retrieve_to(instance_dir, shortlists, 10)
+    table = load_inlier_table(instance_dir / "inliers.csv")
+    rows = {sl.query_id: {db_id: table.rows[sl.query_id][db_id]
+                          for i, db_id in enumerate(sl.db_ids) if i % 3 != 2}
+            for sl in read_shortlists_csv(shortlists)}
+    write_inlier_table(InlierTable(rows=rows), tmp_path / "i.csv")
+    return shortlists, tmp_path / "i.csv"
+
+
+def test_rerank_prints_its_count_of_blank_inlier_cells(thinned, tmp_path, capsys):
+    shortlists, inliers = thinned
+    out = tmp_path / "r.csv"
+    capsys.readouterr()
+    run_ok(["rerank", "--shortlists", str(shortlists), "--inliers", str(inliers),
+            "--out", str(out)])
+    with open(out) as fh:
+        blank = sum(1 for r in csv.DictReader(fh) if not r["inliers"])
+    assert blank == 120 * 3
+    assert capsys.readouterr().out == \
+        f"wrote 120 reranked lists to {out} ({blank} pairs missing counts)\n"
+
+
+@pytest.mark.parametrize("estimator", ["inlier", "l2"])
+def test_gate_prints_its_count_of_fired_queries(estimator, thinned, tmp_path, capsys):
+    shortlists, inliers = thinned
+    if estimator == "inlier":
+        model, threshold = LogisticModel(w=1.0, b=0.0, mean=0.0, std=1.0), "0.02"
+    else:  # fires above the median top-1 distance
+        d1 = sorted(sl.dists[0] for sl in read_shortlists_csv(shortlists))
+        model, threshold = LogisticModel(w=1.0, b=0.0, mean=d1[60], std=0.01), "0.5"
+    (tmp_path / "m.json").write_text(model.to_json())
+    out = tmp_path / "g.csv"
+    capsys.readouterr()
+    run_ok(["gate", "--shortlists", str(shortlists), "--inliers", str(inliers),
+            "--model", str(tmp_path / "m.json"), "--estimator", estimator,
+            "--threshold", threshold, "--out", str(out)])
+    with open(out) as fh:
+        fired = len({r["query_id"] for r in csv.DictReader(fh) if r["gate_fired"] == "true"})
+    assert 0 < fired < 120
+    assert capsys.readouterr().out == f"gate fired for {fired}/120 queries; wrote {out}\n"
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("name", ["w", "b", "mean", "std"])
+def test_gate_rejects_a_model_with_a_non_finite_field(name, value, tmp_path, capsys):
+    write_shortlists_csv([Shortlist("q0", ["d0", "d1"], [0.5, 0.7])], tmp_path / "s.csv")
+    (tmp_path / "inliers.csv").write_text("query_id,db_id,inliers\nq0,d0,3\nq0,d1,1\n")
+    fields = {"w": "1.0", "b": "0.0", "mean": "0.0", "std": "1.0", name: value}
+    model = tmp_path / "m.json"
+    model.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+    out = tmp_path / "out.csv"
+    code = main(["gate", "--shortlists", str(tmp_path / "s.csv"),
+                 "--inliers", str(tmp_path / "inliers.csv"), "--model", str(model),
+                 "--estimator", "l2", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        f"error: model field '{name}' must be finite, got {float(value)}\n"
     assert not out.exists()

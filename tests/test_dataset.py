@@ -12,6 +12,7 @@ from vprkit.dataset import (
     haversine_many,
     load_split,
     read_blob,
+    read_manifest,
     write_blob,
 )
 from vprkit.errors import ValidationError
@@ -74,6 +75,18 @@ class TestLoadSplit:
         write_manifest_file(manifest, [("a", 0.0, 0.0), {"id": "b", "lat": 1.0}])
         with pytest.raises(ValidationError, match="line 2"):
             load_split(manifest, tmp_path / "unused.vprd")
+
+    @pytest.mark.parametrize("lat, lon", [(True, False), ("45.5", 7.0), (45.5, "7")])
+    def test_a_coordinate_must_be_a_json_number(self, tmp_path, lat, lon):
+        manifest = tmp_path / "m.jsonl"
+        write_manifest_file(manifest, [("a", 0.0, 0.0), {"id": "b", "lat": lat, "lon": lon}])
+        with pytest.raises(ValidationError, match="line 2: lat/lon not numeric"):
+            load_split(manifest, tmp_path / "unused.vprd")
+
+    def test_integer_coordinates_load_as_floats(self, tmp_path):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text('{"id": "a", "lat": 45, "lon": -7}\n')
+        assert [(r.lat, r.lon) for r in read_manifest(manifest)] == [(45.0, -7.0)]
 
     def test_bad_magic(self, tmp_path):
         blob = tmp_path / "d.vprd"

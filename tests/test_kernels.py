@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vprkit import _kernels
+from vprkit.dataset import haversine_many
 
 from conftest import full_sort_top_k, sq_dists
 
@@ -51,4 +52,4 @@ class TestSquaredDistances:
 class TestHaversineKernels:
     def test_zero_distance(self):
         one = np.array([33.3])
-        assert _kernels.haversine_m(one, one, one, one)[0] == 0.0
+        assert haversine_many(one, one, one, one)[0] == 0.0

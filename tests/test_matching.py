@@ -162,6 +162,19 @@ class TestSubprocessProvider:
         assert provider.get_inliers("q", "d", ("left.png", "right.png")) == 3
         assert out.read_text() == "left.png right.png"
 
+    def test_paths_holding_placeholders_reach_argv_verbatim(self):
+        provider = SubprocessProvider("matcher {query} --db={db}", timeout=30)
+        seen = []
+
+        def fake_run(argv):
+            seen.append(argv)
+            return subprocess.CompletedProcess(argv, 0, stdout=b"4\n", stderr=b"")
+
+        provider._run = fake_run
+        paths = ("/imgs/{db}/q.jpg", r"/db/{query}\1/d.jpg")
+        assert provider.get_inliers("q", "d", paths) == 4
+        assert seen == [["matcher", paths[0], "--db=" + paths[1]]]
+
     def test_timeout_names_the_pair(self):
         provider = SubprocessProvider(_py_cmd("import time; time.sleep(30)"), timeout=0.3)
         with pytest.raises(MatcherTimeout) as err:

@@ -13,6 +13,7 @@ from vprkit.retrieval import Shortlist
 from vprkit.uncertainty import (
     Estimator,
     LogisticModel,
+    UncertaintyScore,
     fit_logistic,
     predict_prob,
     read_scores_csv,
@@ -21,6 +22,7 @@ from vprkit.uncertainty import (
     u_pa,
     u_random,
     u_sue,
+    write_scores_csv,
 )
 from vprkit.evaluation import auprc, pr_curve
 
@@ -325,6 +327,16 @@ class TestModelJson:
         with pytest.raises(ValidationError):
             LogisticModel(w=1.0, b=0.0, mean=0.0, std=0.0)
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("name", ["w", "b", "mean", "std"])
+    def test_a_non_finite_field_is_rejected_naming_it(self, name, value):
+        # json.loads reads NaN and ±Infinity; such a model would map every u
+        # to nan or to a clipped constant, and so switch a gate off
+        fields = {"w": "1.0", "b": "0.0", "mean": "0.0", "std": "1.0", name: value}
+        text = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+        with pytest.raises(ValidationError, match=f"model field '{name}' must be finite"):
+            LogisticModel.from_json(text)
+
 
 class TestScoresCsv:
     HEADER = "query_id,estimator,u,prob\n"
@@ -334,6 +346,15 @@ class TestScoresCsv:
         path.write_text(self.HEADER + "q0,l2,0.5,\nq0,pa,0.9,\nq1,l2,0.25,\n")
         assert [(s.query_id, s.estimator, s.u) for s in read_scores_csv(path)] == [
             ("q0", Estimator.L2, 0.5), ("q0", Estimator.PA, 0.9), ("q1", Estimator.L2, 0.25)]
+
+    def test_a_score_the_model_cannot_map_leaves_no_file(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        model = LogisticModel(w=1.0, b=0.0, mean=0.0, std=1.0)
+        scores = [UncertaintyScore("q0", Estimator.L2, 0.5),
+                  UncertaintyScore("q1", Estimator.L2, math.inf)]
+        with pytest.raises(ValidationError, match="query 'q1'"):
+            write_scores_csv(scores, path, model)
+        assert not path.exists()
 
     def test_repeated_score_is_rejected_naming_the_line(self, tmp_path):
         path = tmp_path / "scores.csv"
