@@ -177,7 +177,10 @@ def _read_model(path) -> LogisticModel | None:
     if not path:
         return None
     with open(path, "r", encoding="utf-8") as fh:
-        return LogisticModel.from_json(fh.read())
+        try:
+            return LogisticModel.from_json(fh.read())
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
 
 
 def cmd_uncertainty(args) -> int:

@@ -107,7 +107,10 @@ def read_manifest(path) -> list[GeoRecord]:
                 raise ValidationError(f"{path}: line {lineno}: id must be a non-empty string")
             if type(lat) not in (int, float) or type(lon) not in (int, float):  # not bool
                 raise ValidationError(f"{path}: line {lineno}: lat/lon not numeric")
-            lat, lon = float(lat), float(lon)
+            try:
+                lat, lon = float(lat), float(lon)
+            except OverflowError:  # an int too large for a float
+                raise ValidationError(f"{path}: line {lineno}: lat/lon out of range") from None
             if not (math.isfinite(lat) and math.isfinite(lon)):
                 raise ValidationError(f"{path}: line {lineno}: non-finite coordinates")
             if rid in seen:

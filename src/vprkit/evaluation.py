@@ -143,14 +143,11 @@ def write_pr_curves_csv(report: EvalReport, path) -> None:
                 writer.writerow([est, repr(recall), repr(precision)])
 
 
-ALL_ESTIMATORS = (Estimator.L2, Estimator.PA, Estimator.SUE, Estimator.RANDOM, Estimator.INLIER)
-
-
 def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
                       k: int = 100,
                       ks: Sequence[int] = DEFAULT_KS,
                       taus: Sequence[float] = (25.0,),
-                      estimators: Sequence[Estimator] = ALL_ESTIMATORS,
+                      estimators: Sequence[Estimator] = tuple(Estimator),
                       gate_estimator: Estimator | str = Estimator.INLIER,
                       gate_threshold: float = 0.5,
                       gate_model: LogisticModel | None = None,
@@ -172,10 +169,10 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
     ``provider.get_inliers`` for every pair, into one queries x positions key
     matrix and orders all queries with one stable argsort. Every estimator
     goes through ``compute_uncertainties`` with ``provider`` wrapped in a
-    ``_KnownCounts`` that holds the top-1 outcomes (column 0) re-ranking
-    fetched, so each inlier pair is fetched once. A top-1 pair whose fetch
-    failed is held as its error, which ``u_inlier`` raises, so the
-    provider's own error names the pair.
+    ``_KnownCounts`` that holds each top-1 outcome where re-ranking fetched
+    it, so each inlier pair is fetched once. A top-1 pair whose fetch failed
+    is held as its error, which ``u_inlier`` raises, so the provider's own
+    error names the pair.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
@@ -209,18 +206,18 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
 
     # keys[i, j]: the sort key of candidate j of query i (rerank's rule)
     keys = np.empty(correct[taus[0]].shape, dtype=np.int64)
-    failed_top1: dict[int, VprError] = {}
+    top1_outcomes: dict[tuple[str, str], int | VprError] = {}
 
     def _fetch(i: int) -> None:
-        """Fill row i of keys; a pool thread writes only its own rows."""
+        """Fill row i of keys and query i's top-1 outcome; a pool thread writes only its own."""
         sl = shortlists[i]
         try:
             key_row, diagnostics = inlier_keys(sl, provider)
         except ValidationError as exc:
             raise ValidationError(f"query {sl.query_id!r}: {exc}") from exc
         keys[i] = key_row
-        if key_row[0] == MISSING_KEY:  # the first failed fetch is the top-1 pair's
-            failed_top1[i] = diagnostics[0][1]
+        top1_outcomes[sl.query_id, sl.db_ids[0]] = (  # a failed top-1 fetch is the first
+            diagnostics[0][1] if key_row[0] == MISSING_KEY else -key_row[0])
 
     if workers == 1:  # serial, so the default path starts no pool thread
         for i in range(n_q):
@@ -228,12 +225,10 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(_fetch, range(n_q)))
-    top1 = (-keys[:, 0]).tolist()
     rerank_order = np.argsort(keys, axis=1, kind="stable")
     del keys
     retrieval_order = np.arange(rerank_order.shape[1])[None, :]
-    known = _KnownCounts(provider, {(sl.query_id, sl.db_ids[0]): failed_top1.get(i, top1[i])
-                                    for i, sl in enumerate(shortlists)})
+    known = _KnownCounts(provider, top1_outcomes)
 
     def _scores(est: Estimator) -> list[UncertaintyScore]:
         return compute_uncertainties(shortlists, est, db_records=db_records,

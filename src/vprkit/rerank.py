@@ -121,7 +121,7 @@ def adaptive_rerank(shortlist: Shortlist, provider: MatcherProvider, policy: Gat
     inliers: list[int | None] = [None] * len(shortlist)
     if policy.estimator is Estimator.INLIER:
         inliers[0] = int(round(-u.u))
-    return RerankedShortlist(query_id=shortlist.query_id, db_ids=shortlist.ids(),
+    return RerankedShortlist(query_id=shortlist.query_id, db_ids=list(shortlist.db_ids),
                              inliers=inliers, original_ranks=list(range(1, len(shortlist) + 1)),
                              gate_fired=False)
 

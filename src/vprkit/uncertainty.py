@@ -168,26 +168,18 @@ def compute_uncertainties(shortlists: Sequence[Shortlist], estimator: Estimator,
                           db_records: Mapping[str, GeoRecord] | None = None,
                           provider: MatcherProvider | None = None,
                           seed: int = 0) -> list[UncertaintyScore]:
-    """Uncertainty scores for every query under one estimator."""
-    scores = []
-    for sl in shortlists:
-        if estimator is Estimator.L2:
-            scores.append(u_l2(sl))
-        elif estimator is Estimator.PA:
-            scores.append(u_pa(sl))
-        elif estimator is Estimator.SUE:
-            if db_records is None:
-                raise ValidationError("SUE needs database records for coordinates")
-            scores.append(u_sue(sl, db_records))
-        elif estimator is Estimator.RANDOM:
-            scores.append(u_random(sl.query_id, seed))
-        elif estimator is Estimator.INLIER:
-            if provider is None:
-                raise ValidationError("inlier estimator needs a matcher provider")
-            scores.append(u_inlier(sl.query_id, sl.db_ids[0], provider))
-        else:  # pragma: no cover
-            raise ValidationError(f"unknown estimator {estimator}")
-    return scores
+    """Uncertainty scores for every query under one estimator, picked once per
+    call; the table is built here so that it sees a ``u_*`` replaced on this module."""
+    if estimator == Estimator.SUE and db_records is None:
+        raise ValidationError("SUE needs database records for coordinates")
+    if estimator == Estimator.INLIER and provider is None:
+        raise ValidationError("inlier estimator needs a matcher provider")
+    score = {Estimator.L2: u_l2, Estimator.PA: u_pa,
+             Estimator.SUE: lambda sl: u_sue(sl, db_records),
+             Estimator.RANDOM: lambda sl: u_random(sl.query_id, seed),
+             Estimator.INLIER: lambda sl: u_inlier(sl.query_id, sl.db_ids[0], provider),
+             }[estimator]
+    return [score(sl) for sl in shortlists]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

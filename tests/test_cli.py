@@ -157,7 +157,7 @@ class TestExitCodes:
                      "--n-db", "5", "--n-queries", "50"])
         assert code == 1
 
-    def test_missing_estimator_input(self, instance_dir, tmp_path):
+    def test_missing_estimator_input(self, instance_dir, tmp_path, capsys):
         shortlists = tmp_path / "s.csv"
         run_ok(["retrieve",
                 "--db-manifest", str(instance_dir / "db.jsonl"),
@@ -165,9 +165,14 @@ class TestExitCodes:
                 "--query-manifest", str(instance_dir / "queries.jsonl"),
                 "--query-blob", str(instance_dir / "queries.vprd"),
                 "--k", "5", "--out", str(shortlists)])
-        code = main(["uncertainty", "--shortlists", str(shortlists),
-                     "--estimator", "inlier", "--out", str(tmp_path / "u.csv")])
-        assert code == 1
+        for estimator, flag in (("inlier", "--inliers"), ("sue", "--db-manifest")):
+            capsys.readouterr()
+            code = main(["uncertainty", "--shortlists", str(shortlists),
+                         "--estimator", estimator, "--out", str(tmp_path / "u.csv")])
+            assert code == 1
+            assert capsys.readouterr().err == \
+                f"error: the {estimator} estimator requires {flag}\n"
+        assert not (tmp_path / "u.csv").exists()
 
     def test_sue_estimator_via_cli(self, instance_dir, tmp_path):
         shortlists = tmp_path / "s.csv"
@@ -190,7 +195,22 @@ class TestExitCodes:
                      "--inliers", str(instance_dir / "inliers.csv"),
                      "--model", str(model), "--out", str(tmp_path / "g.csv")])
         assert code == 1
-        assert "bad logistic model JSON" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {model}: bad logistic model JSON: ")
+
+    def test_a_manifest_coordinate_beyond_float_range_is_one(self, instance_dir, tmp_path,
+                                                               capsys):
+        manifest = tmp_path / "db.jsonl"
+        lines = (instance_dir / "db.jsonl").read_text().splitlines()
+        lines[2] = '{"id": "huge", "lat": 1' + "0" * 400 + ', "lon": 0}'
+        manifest.write_text("\n".join(lines) + "\n")
+        code = main(["retrieve", "--db-manifest", str(manifest),
+                     "--db-blob", str(instance_dir / "db.vprd"),
+                     "--query-manifest", str(instance_dir / "queries.jsonl"),
+                     "--query-blob", str(instance_dir / "queries.vprd"),
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {manifest}: line 3: lat/lon out of range\n"
+        assert not (tmp_path / "s.csv").exists()
 
 
 def test_gate_loads_inlier_table_once(instance_dir, tmp_path, monkeypatch):
@@ -340,6 +360,33 @@ def test_calibrate_labels_tau_boundary_inclusively(tmp_path):
         assert out.read_text() == expected.to_json() + "\n"
 
 
+@pytest.mark.parametrize("case, message", [
+    ("estimator", "no 'pa' scores found in {scores}"),
+    ("shortlist", "query 'q2' has no shortlist"),
+    ("query", "query 'q1' not in manifest"),
+    ("candidate", "candidate 'd1' not in db manifest"),
+])
+def test_calibrate_names_a_score_it_cannot_label(case, message, tmp_path, capsys):
+    # two queries, each with one candidate at its own position
+    queries = [("q0", 45.0, 7.0)] + ([] if case == "query" else [("q1", 45.0, 7.1)])
+    write_manifest_file(tmp_path / "q.jsonl", queries)
+    db = [("d0", 45.0, 7.0)] + ([] if case == "candidate" else [("d1", 45.0, 7.1)])
+    write_manifest_file(tmp_path / "db.jsonl", db)
+    write_shortlists_csv([Shortlist("q0", ["d0"], [0.1]), Shortlist("q1", ["d1"], [0.2])],
+                         tmp_path / "s.csv")
+    scored = ["q0", "q1"] + (["q2"] if case == "shortlist" else [])
+    scores = tmp_path / "scores.csv"
+    write_scores_csv([UncertaintyScore(q, Estimator.L2, 0.1) for q in scored], scores)
+    estimator = "pa" if case == "estimator" else "l2"
+    code = main(["calibrate", "--scores", str(scores), "--shortlists", str(tmp_path / "s.csv"),
+                 "--query-manifest", str(tmp_path / "q.jsonl"),
+                 "--db-manifest", str(tmp_path / "db.jsonl"),
+                 "--estimator", estimator, "--out", str(tmp_path / "model.json")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message.format(scores=scores)}\n"
+    assert not (tmp_path / "model.json").exists()
+
+
 @pytest.mark.parametrize("command, flag", [
     ("synth", "--tau"), ("synth", "--estimator"), ("synth", "--threshold"),
     ("retrieve", "--tau"), ("retrieve", "--estimator"), ("retrieve", "--threshold"),
@@ -466,5 +513,19 @@ def test_gate_rejects_a_model_with_a_non_finite_field(name, value, tmp_path, cap
                  "--estimator", "l2", "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err == \
-        f"error: model field '{name}' must be finite, got {float(value)}\n"
+        f"error: {model}: model field '{name}' must be finite, got {float(value)}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["uncertainty", "gate"])
+def test_a_model_with_zero_std_is_rejected_naming_its_file(command, tmp_path, capsys):
+    write_shortlists_csv([Shortlist("q0", ["d0", "d1"], [0.5, 0.7])], tmp_path / "s.csv")
+    (tmp_path / "inliers.csv").write_text("query_id,db_id,inliers\nq0,d0,3\nq0,d1,1\n")
+    model = tmp_path / "m.json"
+    model.write_text('{"w": 1.0, "b": 0.0, "mean": 0.0, "std": 0}')
+    extra = ["--inliers", str(tmp_path / "inliers.csv")] if command == "gate" else []
+    code = main([command, "--shortlists", str(tmp_path / "s.csv"), "--model", str(model),
+                 "--estimator", "l2", *extra, "--out", str(tmp_path / "out.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {model}: feature std must be positive, got 0.0\n"
+    assert not (tmp_path / "out.csv").exists()

@@ -108,9 +108,32 @@ class TestLoadSplit:
 
     def test_coordinates_out_of_bounds(self, tmp_path):
         manifest = tmp_path / "m.jsonl"
-        write_manifest_file(manifest, [("a", 91.0, 0.0)])
-        with pytest.raises(ValidationError, match="lat"):
-            load_split(manifest, tmp_path / "unused.vprd")
+        for lat, lon, message in ((91.0, 0.0, "lat 91.0 outside [-90, 90]"),
+                                  (0.0, 181.0, "lon 181.0 outside [-180, 180]")):
+            write_manifest_file(manifest, [("a", lat, lon)])
+            with pytest.raises(ValidationError, match=re.escape(f"record 'a': {message}")):
+                load_split(manifest, tmp_path / "unused.vprd")
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"id": "", "lat": 0, "lon": 0}', "id must be a non-empty string"),
+        ('{"id": "b", "lat": Infinity, "lon": 0}', "non-finite coordinates"),
+        ('{"id": "b", "lat": 1' + "0" * 400 + ', "lon": 0}', "lat/lon out of range"),
+    ], ids=["empty-id", "infinite-lat", "int-beyond-float"])
+    def test_a_bad_record_names_its_file_and_line(self, tmp_path, line, message):
+        manifest = tmp_path / "m.jsonl"
+        write_manifest_file(manifest, [("a", 0.0, 0.0), line])
+        with pytest.raises(ValidationError, match=re.escape(f"{manifest}: line 2: {message}")):
+            read_manifest(manifest)
+
+    def test_blank_lines_are_skipped_but_counted(self, tmp_path):
+        manifest = tmp_path / "m.jsonl"
+        write_manifest_file(manifest, [("a", 0.0, 0.0), "", "   ", ("b", 1.0, 2.0)])
+        assert [r.id for r in read_manifest(manifest)] == ["a", "b"]
+        with open(manifest, "a") as fh:
+            fh.write("\n{not json\n")
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{manifest}: malformed JSON on line 6")):
+            read_manifest(manifest)
 
     def test_blob_round_trip_bit_exact(self, tmp_path, rng):
         rows = rng.standard_normal((7, 5)).astype(np.float32)

@@ -414,6 +414,22 @@ class TestEvaluateMatcherCost:
         assert fired == report.gate_fired
 
 
+    def test_a_gate_estimator_not_scored_for_the_report_reads_the_fetched_top1(self):
+        k = 10
+        inst, shortlists, scores, policy = gated_instance(k)
+        gate = {"gate_estimator": "inlier", "gate_model": policy.model}
+        want = evaluate_pipeline(inst.db, inst.queries, TableProvider(inst.inliers), k=k,
+                                 **gate)
+        provider = CountingProvider(TableProvider(inst.inliers))
+        report = evaluate_pipeline(inst.db, inst.queries, provider, k=k,
+                                   estimators=(Estimator.L2,), **gate)
+        assert 0 < report.gate_fired < len(shortlists)
+        assert report.gate_fired == want.gate_fired
+        assert report.recalls == want.recalls
+        assert report.auprc["25.0"] == {"l2": want.auprc["25.0"]["l2"]}
+        assert provider.calls == len(shortlists) * k  # the gate's scores fetch nothing
+
+
 class TestEvaluateMatchesPerQueryReference:
     def test_every_system_k_and_tau(self):
         k = 10

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 import threading
@@ -58,9 +59,11 @@ class TestInlierTable:
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "i.csv"
-        write_csv(path, [("q1", "d1", 3), ("q2", "d1", "seven")])
-        with pytest.raises(ValidationError, match="line 3"):
-            load_inlier_table(path)
+        for row, message in ((("q2", "d1", "seven"), "inlier count 'seven' is not an integer"),
+                             (("q2", "d1"), "expected 3 fields, got 2")):
+            write_csv(path, [("q1", "d1", 3), row])
+            with pytest.raises(ValidationError, match=re.escape(f"{path}: line 3: {message}")):
+                load_inlier_table(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "i.csv"
@@ -174,6 +177,19 @@ class TestSubprocessProvider:
         paths = ("/imgs/{db}/q.jpg", r"/db/{query}\1/d.jpg")
         assert provider.get_inliers("q", "d", paths) == 4
         assert seen == [["matcher", paths[0], "--db=" + paths[1]]]
+
+    @pytest.mark.parametrize("stdout, reason", [
+        (b"", "empty stdout"),
+        (b" \n\t\n", "empty stdout"),
+        (b"matched\n-3\n", "negative inlier count -3"),
+    ])
+    def test_unusable_stdout_names_the_pair(self, stdout, reason):
+        provider = SubprocessProvider("matcher {query} {db}", timeout=30)
+        provider._run = lambda argv: subprocess.CompletedProcess(argv, 0, stdout=stdout,
+                                                                 stderr=b"")
+        with pytest.raises(MatcherOutputError) as err:
+            provider.get_inliers("q3", "d5", ("a.png", "b.png"))
+        assert str(err.value) == f"matcher failed for (q3, d5): {reason}"
 
     def test_timeout_names_the_pair(self):
         provider = SubprocessProvider(_py_cmd("import time; time.sleep(30)"), timeout=0.3)

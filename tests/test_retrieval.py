@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -387,6 +388,18 @@ class TestShortlistCsv:
         path = tmp_path / "s.csv"
         path.write_text("query_id,rank,db_id,distance\nq0,1,d0,0.5\nq0,2,d1,nan\n")
         with pytest.raises(ValidationError, match="line 3: rank/distance out of range"):
+            read_shortlists_csv(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("q0,2,d1", "expected 4 fields"),
+        ("q0,2,d1,0.5,extra", "expected 4 fields"),
+        ("q0,two,d1,0.5", "bad rank or distance"),
+        ("q0,2,d1,far", "bad rank or distance"),
+    ])
+    def test_rejects_a_malformed_row_naming_the_line(self, tmp_path, row, message):
+        path = tmp_path / "s.csv"
+        path.write_text(f"query_id,rank,db_id,distance\nq0,1,d0,0.5\n{row}\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: line 3: {message}")):
             read_shortlists_csv(path)
 
     def test_infinite_distance_round_trips(self, tmp_path):

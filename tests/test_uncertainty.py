@@ -1,11 +1,13 @@
 import hashlib
 import json
 import math
+import re
 import statistics
 
 import numpy as np
 import pytest
 
+from vprkit import uncertainty
 from vprkit.dataset import GeoRecord
 from vprkit.errors import MissingPairError, ValidationError
 from vprkit.matching import TableProvider
@@ -14,6 +16,7 @@ from vprkit.uncertainty import (
     Estimator,
     LogisticModel,
     UncertaintyScore,
+    compute_uncertainties,
     fit_logistic,
     predict_prob,
     read_scores_csv,
@@ -202,6 +205,39 @@ class TestInlierUncertainty:
         assert by_u == [q for q, _ in by_count_desc]
 
 
+class TestComputeUncertainties:
+    SHORTLISTS = [shortlist(("d0", 0.2), ("d1", 0.4), query_id="q0"),
+                  shortlist(("d1", 0.1), ("d0", 0.3), query_id="q1")]
+    DB = {"d0": GeoRecord("d0", 40.0, 9.0), "d1": GeoRecord("d1", 40.001, 9.0)}
+
+    @pytest.mark.parametrize("estimator, message", [
+        (Estimator.SUE, "SUE needs database records for coordinates"),
+        (Estimator.INLIER, "inlier estimator needs a matcher provider"),
+    ], ids=["sue", "inlier"])
+    def test_a_missing_input_raises_before_any_query_is_scored(self, estimator, message):
+        for shortlists in ([], self.SHORTLISTS):
+            with pytest.raises(ValidationError, match=message):
+                compute_uncertainties(shortlists, estimator)
+
+    @pytest.mark.parametrize("estimator", list(Estimator))
+    def test_each_query_goes_through_the_module_scorer(self, estimator, monkeypatch):
+        # a tracer wraps the module's u_* functions; every call must reach the wrapper
+        name = f"u_{estimator.value}"
+        original, seen = getattr(uncertainty, name), []
+
+        def wrapper(*args, **kwargs):
+            seen.append(args[0] if isinstance(args[0], str) else args[0].query_id)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(uncertainty, name, wrapper)
+        provider = TableProvider(inlier_table({("q0", "d0"): 4, ("q1", "d1"): 9}))
+        scores = compute_uncertainties(self.SHORTLISTS, estimator, db_records=self.DB,
+                                       provider=provider, seed=3)
+        assert seen == ["q0", "q1"]
+        assert [(s.query_id, s.estimator) for s in scores] == [("q0", estimator),
+                                                                ("q1", estimator)]
+
+
 class TestFitLogistic:
     def test_separable_is_monotone_and_perfectly_ranked(self):
         samples = [(float(i), i >= 50) for i in range(100)]
@@ -248,6 +284,43 @@ class TestFitLogistic:
         losses = model.fit_losses
         assert len(losses) >= 2
         assert all(losses[i + 1] <= losses[i] for i in range(len(losses) - 1))
+
+    @staticmethod
+    def _scripted_nll(monkeypatch, inflate):
+        """Wrap ``_nll`` so that call n (0 = the starting loss) returns the
+        true loss plus ``inflate(n)``; returns the (theta, loss) of each call."""
+        true_nll, calls = uncertainty._nll, []
+
+        def nll(theta, x, y):
+            loss = true_nll(theta, x, y) + inflate(len(calls))
+            calls.append((theta.copy(), loss))
+            return loss
+
+        monkeypatch.setattr(uncertainty, "_nll", nll)
+        return calls
+
+    SAMPLES = [(float(u), u >= 4) for u in range(10)] + [(1.5, True), (6.5, False)]
+
+    def test_a_rejected_step_is_halved_then_taken(self, monkeypatch):
+        calls = self._scripted_nll(monkeypatch, lambda n: math.inf if n == 1 else 0.0)
+        model = fit_logistic(self.SAMPLES)
+        (_, start), (full, rejected), (half, taken) = calls[:3]
+        assert rejected == math.inf  # the full first step is refused
+        np.testing.assert_array_equal(half, 0.5 * full)  # theta starts at 0
+        losses = model.fit_losses
+        assert losses[:2] == (start, taken)
+        assert len(losses) > 2
+        assert all(losses[i + 1] <= losses[i] for i in range(len(losses) - 1))
+
+    def test_no_descent_left_stops_at_the_last_accepted_step(self, monkeypatch):
+        # every trial after the first two Newton steps is refused at any scale
+        calls = self._scripted_nll(monkeypatch, lambda n: math.inf if n > 2 else 0.0)
+        model = fit_logistic(self.SAMPLES)
+        assert len(model.fit_losses) == 3
+        assert model.fit_losses == tuple(loss for _, loss in calls[:3])
+        assert (model.w, model.b) == tuple(calls[2][0])
+        assert all(loss == math.inf for _, loss in calls[3:])
+        assert model.fit_losses[2] <= model.fit_losses[1] <= model.fit_losses[0]
 
     def test_single_class_rejected(self):
         with pytest.raises(ValidationError, match="single class"):
@@ -355,6 +428,19 @@ class TestScoresCsv:
         with pytest.raises(ValidationError, match="query 'q1'"):
             write_scores_csv(scores, path, model)
         assert not path.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("query_id,estimator,u\nq0,l2,0.5\n",
+         "unexpected scores CSV header ['query_id', 'estimator', 'u']"),
+        (HEADER + "q0,l2,0.5,\nq1,l2,0.5\n", "line 3: expected 4 fields"),
+        (HEADER + "q0,l2,0.5,\nq1,l3,0.5,\n", "line 3: bad estimator or u value"),
+        (HEADER + "q0,l2,0.5,\nq1,l2,half,\n", "line 3: bad estimator or u value"),
+    ], ids=["header", "fields", "estimator", "u"])
+    def test_a_malformed_file_is_rejected_naming_it(self, tmp_path, text, message):
+        path = tmp_path / "scores.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}")):
+            read_scores_csv(path)
 
     def test_repeated_score_is_rejected_naming_the_line(self, tmp_path):
         path = tmp_path / "scores.csv"
