@@ -13,8 +13,8 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -74,10 +74,6 @@ class Split:
 
     records: list[GeoRecord]
     blob: DescriptorBlob
-    by_id: Mapping[str, GeoRecord] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.by_id = {r.id: r for r in self.records}
 
     def __len__(self) -> int:
         return len(self.records)
@@ -116,7 +112,10 @@ def read_manifest(path) -> list[GeoRecord]:
             if rid in seen:
                 raise ValidationError(f"{path}: line {lineno}: duplicate id {rid!r}")
             seen.add(rid)
-            records.append(GeoRecord(id=rid, lat=lat, lon=lon))
+            try:
+                records.append(GeoRecord(id=rid, lat=lat, lon=lon))
+            except ValidationError as exc:
+                raise ValidationError(f"{path}: line {lineno}: {exc}") from None
     return records
 
 

@@ -21,12 +21,11 @@ import numpy as np
 from .dataset import DistanceThreshold, Split, haversine_many
 from .errors import ValidationError, VprError
 from .matching import MatcherProvider, _KnownCounts
-from .rerank import MISSING_KEY, GatePolicy, inlier_keys
+from .rerank import MISSING_KEY, GatePolicy, _check_threshold, inlier_keys
 from .retrieval import BLOCK_ROWS, build_index, search_all
 from .uncertainty import (
     Estimator,
     LogisticModel,
-    UncertaintyScore,
     compute_uncertainties,
     fit_logistic,
 )
@@ -106,20 +105,17 @@ class EvalReport:
             lines.append(f"Recall@K at tau = {tau:g} m")
             header = "  {:<12}".format("system") + "".join(f"{'K=' + str(k):>9}" for k in self.ks)
             lines.append(header)
-            for system in ("retrieval", "rerank", "adaptive"):
-                if system not in self.recalls.get(key, {}):
-                    continue
+            for system, recall in self.recalls[key].items():
                 row = "  {:<12}".format(system)
                 for k in self.ks:
-                    row += f"{self.recalls[key][system][str(k)]:>9.1f}"
+                    row += f"{recall[str(k)]:>9.1f}"
                 lines.append(row)
-            if key in self.auprc:
-                lines.append(f"AUPRC at tau = {tau:g} m")
-                for est, area in self.auprc[key].items():
-                    lines.append(f"  {est:<12}{area:>9.3f}")
+            lines.append(f"AUPRC at tau = {tau:g} m")
+            for est, area in self.auprc[key].items():
+                lines.append(f"  {est:<12}{area:>9.3f}")
             lines.append(
                 f"  queries: {self.n_queries}   correct top-1: "
-                f"{self.correct_top1.get(key, 0)}   gate fired: {self.gate_fired}"
+                f"{self.correct_top1[key]}   gate fired: {self.gate_fired}"
             )
         return "\n".join(lines) + "\n"
 
@@ -180,13 +176,19 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
         raise ValidationError("need at least one tau and one K")
     if len(queries) == 0:
         raise ValidationError("recall is undefined over zero queries")
-    taus = tuple(float(t) for t in taus)
+    taus = tuple(DistanceThreshold(float(t)).tau for t in taus)
     ks = tuple(int(x) for x in ks)
     if min(ks) < 1:
         raise ValidationError(f"k must be >= 1, got {min(ks)}")
+    if gate_estimator != ORACLE_GATE:
+        try:
+            gate_estimator = Estimator(gate_estimator)
+        except ValueError:
+            raise ValidationError(f"unknown gate estimator {gate_estimator!r}") from None
+    _check_threshold(gate_threshold)
 
     shortlists = search_all(build_index(db), queries, k)
-    db_records = db.by_id
+    db_records = {r.id: r for r in db.records}
     n_q = len(shortlists)
 
     # correct[tau][i, j]: candidate j of query i lies within tau meters,
@@ -194,14 +196,13 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
     row = {r.id: i for i, r in enumerate(db.records)}
     cand_rows = np.array([[row[d] for d in sl.db_ids] for sl in shortlists])
     db_coords, q_coords = db.coords(), queries.coords()
-    limits = {tau: DistanceThreshold(tau).tau for tau in taus}
     correct = {tau: np.empty(cand_rows.shape, dtype=bool) for tau in taus}
     for lo in range(0, n_q, BLOCK_ROWS):
         cand = db_coords[cand_rows[lo:lo + BLOCK_ROWS]]
         q = q_coords[lo:lo + BLOCK_ROWS, None, :]
         dists = haversine_many(q[..., 0], q[..., 1], cand[..., 0], cand[..., 1])
-        for tau, limit in limits.items():
-            correct[tau][lo:lo + BLOCK_ROWS] = dists <= limit
+        for tau in taus:
+            correct[tau][lo:lo + BLOCK_ROWS] = dists <= tau
     del cand_rows
 
     # keys[i, j]: the sort key of candidate j of query i (rerank's rule)
@@ -229,12 +230,11 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
     del keys
     retrieval_order = np.arange(rerank_order.shape[1])[None, :]
     known = _KnownCounts(provider, top1_outcomes)
-
-    def _scores(est: Estimator) -> list[UncertaintyScore]:
-        return compute_uncertainties(shortlists, est, db_records=db_records,
-                                     provider=known, seed=seed)
-
-    scores_by_estimator = {est: _scores(est) for est in estimators}
+    # a real gate's estimator is scored here too, once, also when the report omits it
+    gate_scored = () if gate_estimator == ORACLE_GATE else (gate_estimator,)
+    scores_by_estimator = {est: compute_uncertainties(shortlists, est, db_records=db_records,
+                                                      provider=known, seed=seed)
+                           for est in dict.fromkeys((*estimators, *gate_scored))}
 
     report = EvalReport(n_queries=n_q, k=k, ks=ks, taus=taus, seed=seed)
 
@@ -251,24 +251,20 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
 
     # --- adaptive gating ------------------------------------------------
     primary_top1 = correct[report.taus[0]][:, 0]
+    fitted_here = False
     if gate_estimator == ORACLE_GATE:
         fired = ~primary_top1
-        gate_desc = {"estimator": ORACLE_GATE, "threshold": gate_threshold, "fitted_here": False}
     else:
-        gate_est = Estimator(gate_estimator)
-        gate_scores = scores_by_estimator.get(gate_est)
-        if gate_scores is None:
-            gate_scores = _scores(gate_est)
+        gate_scores = scores_by_estimator[gate_estimator]
         fitted_here = gate_model is None
-        if gate_model is None:
+        if fitted_here:
             gate_model = fit_logistic([(s.u, not c) for s, c in zip(gate_scores, primary_top1)])
-        policy = GatePolicy(model=gate_model, threshold=gate_threshold, estimator=gate_est)
+        policy = GatePolicy(model=gate_model, threshold=gate_threshold, estimator=gate_estimator)
         fired = np.array([policy.fires(s) for s in gate_scores])
-        gate_desc = {"estimator": gate_est.value, "threshold": gate_threshold,
-                     "fitted_here": fitted_here}
 
     report.gate_fired = int(np.count_nonzero(fired))
-    report.gate = gate_desc
+    report.gate = {"estimator": str(gate_estimator), "threshold": gate_threshold,
+                   "fitted_here": fitted_here}
 
     systems = {"retrieval": retrieval_order, "rerank": rerank_order,
                "adaptive": np.where(fired[:, None], rerank_order, retrieval_order)}

@@ -153,7 +153,6 @@ class SubprocessProvider(MatcherProvider):
         except ValueError as exc:
             raise ValidationError(f"command template {command_template!r}: {exc}") from None
         self.timeout = timeout
-        self.max_concurrent = max_concurrent
         self._slots = threading.BoundedSemaphore(max_concurrent)
 
     def _run(self, argv: list[str]) -> subprocess.CompletedProcess:

@@ -45,6 +45,12 @@ class RerankedShortlist:
         return list(self.db_ids)
 
 
+def _check_threshold(threshold: float) -> None:
+    """Raise unless ``threshold`` is a gate probability strictly inside (0, 1)."""
+    if not (0.0 < threshold < 1.0):
+        raise ValidationError(f"gate threshold must be strictly inside (0, 1), got {threshold}")
+
+
 @dataclass(frozen=True)
 class GatePolicy:
     """Decision rule: re-rank when P(wrong) exceeds the threshold (strict >)."""
@@ -54,10 +60,7 @@ class GatePolicy:
     estimator: Estimator = Estimator.INLIER
 
     def __post_init__(self):
-        if not (0.0 < self.threshold < 1.0):
-            raise ValidationError(
-                f"gate threshold must be strictly inside (0, 1), got {self.threshold}"
-            )
+        _check_threshold(self.threshold)
 
     def fires(self, score: UncertaintyScore) -> bool:
         return score_prob(self.model, score) > self.threshold

@@ -7,8 +7,7 @@ Every estimator returns a scalar u where higher means more uncertain:
 * sue     — geographic spread of the shortlist: weighted spatial variance of
             the top-L candidate positions on a local tangent plane, with
             Gaussian weights exp(-d_(j)^2 / sigma^2). This follows the
-            shortlist-spread idea; the exact weighting is our reconstruction
-            and is configurable.
+            shortlist-spread idea; the exact weighting is our reconstruction.
 * random  — uniform [0, 1) from a counter-based generator keyed on
             (seed, query_id), independent of evaluation order.
 * inlier  — negated inlier count of the top-1 pair, -i_(1).
@@ -43,6 +42,7 @@ if TYPE_CHECKING:
 RIDGE_LAMBDA = 1e-6
 GRAD_TOL = 1e-10
 MAX_NEWTON_ITER = 100
+SUE_TOP = 10  # candidates whose positions SUE spreads
 PROB_CLIP = 1e-12  # keeps probabilities strictly inside (0, 1); lets
                    # threshold = 1 - 1e-12 mean "never fire" under strict >
 
@@ -112,26 +112,19 @@ def u_pa(shortlist: Shortlist) -> UncertaintyScore:
     return UncertaintyScore(shortlist.query_id, Estimator.PA, u)
 
 
-def u_sue(shortlist: Shortlist, db_records: Mapping[str, GeoRecord],
-          top: int = 10, sigma: float | None = None) -> UncertaintyScore:
-    """Weighted spatial variance (m^2) of the top candidates' positions."""
+def u_sue(shortlist: Shortlist, db_records: Mapping[str, GeoRecord]) -> UncertaintyScore:
+    """Weighted spatial variance (m^2) of the first SUE_TOP candidates' positions."""
     import numpy as np
     from .dataset import EARTH_RADIUS_M
-    if top < 1:
-        raise ValidationError(f"top must be >= 1, got {top}")
     try:
-        recs = [db_records[db_id] for db_id in shortlist.db_ids[:top]]
+        recs = [db_records[db_id] for db_id in shortlist.db_ids[:SUE_TOP]]
     except KeyError as exc:
         raise ValidationError(
             f"query {shortlist.query_id!r}: shortlist id {exc.args[0]!r} not in database"
         ) from None
 
-    d = np.array(shortlist.dists[:top], dtype=np.float64)
-    if sigma is None:
-        sigma = d[0] + 1e-9  # floor keeps sigma positive on exact matches
-    if not sigma > 0:
-        raise ValidationError(f"sigma must be positive, got {sigma}")
-
+    d = np.array(shortlist.dists[:SUE_TOP], dtype=np.float64)
+    sigma = d[0] + 1e-9  # the floor keeps sigma positive on exact matches
     d2 = d * d
     logits = -(d2 - d2.min()) / (sigma * sigma)  # shift-invariant, avoids underflow to all-zero
     w = np.exp(logits)
@@ -247,7 +240,6 @@ def fit_logistic(samples: Sequence[tuple[float, bool]]) -> LogisticModel:
             new_loss = _nll(new_theta, x, y)
         if new_loss > losses[-1]:
             break  # no descent direction left at this precision
-        assert new_loss <= losses[-1]
         theta = new_theta
         losses.append(new_loss)
 

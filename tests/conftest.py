@@ -46,6 +46,11 @@ def make_split(descriptors, coords=None, prefix="r"):
     return Split(records=records, blob=blob)
 
 
+def by_id(split):
+    """{record id: GeoRecord} of a split."""
+    return {r.id: r for r in split.records}
+
+
 def inlier_table(counts):
     """InlierTable from a flat {(query_id, db_id): count} dict, keeping its order."""
     rows = {}

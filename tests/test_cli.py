@@ -157,6 +157,19 @@ class TestExitCodes:
                      "--n-db", "5", "--n-queries", "50"])
         assert code == 1
 
+    def test_oracle_gate_checks_its_threshold(self, instance_dir, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main(["evaluate", "--db-manifest", str(instance_dir / "db.jsonl"),
+                     "--db-blob", str(instance_dir / "db.vprd"),
+                     "--query-manifest", str(instance_dir / "queries.jsonl"),
+                     "--query-blob", str(instance_dir / "queries.vprd"),
+                     "--inliers", str(instance_dir / "inliers.csv"),
+                     "--oracle-gate", "--threshold", "7", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: gate threshold must be strictly inside (0, 1), got 7.0\n"
+        assert not out.exists()
+
     def test_missing_estimator_input(self, instance_dir, tmp_path, capsys):
         shortlists = tmp_path / "s.csv"
         run_ok(["retrieve",

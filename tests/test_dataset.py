@@ -118,7 +118,9 @@ class TestLoadSplit:
         ('{"id": "", "lat": 0, "lon": 0}', "id must be a non-empty string"),
         ('{"id": "b", "lat": Infinity, "lon": 0}', "non-finite coordinates"),
         ('{"id": "b", "lat": 1' + "0" * 400 + ', "lon": 0}', "lat/lon out of range"),
-    ], ids=["empty-id", "infinite-lat", "int-beyond-float"])
+        ('{"id": "b", "lat": 91, "lon": 0}', "record 'b': lat 91.0 outside [-90, 90]"),
+        ('{"id": "b", "lat": 0, "lon": 181}', "record 'b': lon 181.0 outside [-180, 180]"),
+    ], ids=["empty-id", "infinite-lat", "int-beyond-float", "lat-beyond-90", "lon-beyond-180"])
     def test_a_bad_record_names_its_file_and_line(self, tmp_path, line, message):
         manifest = tmp_path / "m.jsonl"
         write_manifest_file(manifest, [("a", 0.0, 0.0), line])
@@ -142,6 +144,12 @@ class TestLoadSplit:
         write_blob(rows, path)
         loaded = read_blob(path)
         np.testing.assert_array_equal(loaded.rows, rows)
+
+    def test_a_1d_descriptor_array_writes_no_blob(self, tmp_path):
+        path = tmp_path / "d.vprd"
+        with pytest.raises(ValidationError, match="descriptor matrix must be 2-D"):
+            write_blob(np.ones(4, dtype=np.float32), path)
+        assert not path.exists()
 
     def test_loaded_blob_is_immutable(self, tmp_path):
         blob = tmp_path / "d.vprd"

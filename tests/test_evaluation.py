@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 
@@ -9,6 +10,7 @@ import pytest
 from vprkit.dataset import DistanceThreshold, GeoRecord
 from vprkit.errors import MatcherTimeout, MissingPairError, ValidationError
 from vprkit.evaluation import (
+    EvalReport,
     auprc,
     compute_uncertainties,
     evaluate_pipeline,
@@ -19,9 +21,9 @@ from vprkit.matching import MatcherProvider, TableProvider
 from vprkit.rerank import GatePolicy, adaptive_rerank, rerank
 from vprkit.retrieval import build_index, search_all
 from vprkit.synth import SynthConfig, generate
-from vprkit.uncertainty import Estimator, fit_logistic
+from vprkit.uncertainty import Estimator, LogisticModel, fit_logistic
 
-from conftest import inlier_table, make_split, recall_at_k
+from conftest import by_id, inlier_table, make_split, recall_at_k
 
 M_PER_DEG = 6_371_000.0 * math.pi / 180.0
 
@@ -148,6 +150,11 @@ class TestPrCurve:
         with pytest.raises(ValidationError):
             pr_curve([])
 
+    @pytest.mark.parametrize("conf", [math.nan, math.inf])
+    def test_rejects_a_non_finite_confidence(self, conf):
+        with pytest.raises(ValidationError, match="non-finite confidence value"):
+            pr_curve([(1.0, True), (conf, False)])
+
 
 class TestAuprc:
     def test_perfect_separation_is_exactly_one(self):
@@ -269,7 +276,7 @@ class TestEvaluatePipeline:
         assert reports[0].to_json() == reports[1].to_json()
         for kk in (1, 5):
             assert reports[1].recalls["25.0"]["rerank"][str(kk)] == recall_at_k(
-                reranked, inst.queries.by_id, inst.db.by_id, kk, DistanceThreshold(25.0))
+                reranked, by_id(inst.queries), by_id(inst.db), kk, DistanceThreshold(25.0))
 
     def test_fitted_gate_reports_metadata(self):
         config = SynthConfig(n_db=300, n_queries=200, dim=16, target_retrieval_r1=0.8,
@@ -314,6 +321,13 @@ class TestEvaluatePipeline:
         assert lines[0] == "estimator,recall,precision"
         estimators = {line.split(",")[0] for line in lines[1:]}
         assert estimators == {"l2", "pa", "sue", "random", "inlier"}
+
+    def test_pr_curves_csv_needs_curves_at_the_first_tau(self, tmp_path):
+        report = EvalReport(n_queries=1, k=1, ks=(1,), taus=(25.0,), seed=0)
+        path = tmp_path / "curves.csv"
+        with pytest.raises(ValidationError, match="report has no PR curves at tau of 25.0"):
+            write_pr_curves_csv(report, path)
+        assert not path.exists()
 
 
 class CountingProvider(MatcherProvider):
@@ -379,7 +393,7 @@ def gated_instance(k=10):
     provider = TableProvider(inst.inliers)
     shortlists = search_all(build_index(inst.db), inst.queries, k)
     scores = compute_uncertainties(shortlists, Estimator.INLIER, provider=provider)
-    wrong = [recall_at_k({sl.query_id: sl.ids()}, inst.queries.by_id, inst.db.by_id, 1,
+    wrong = [recall_at_k({sl.query_id: sl.ids()}, by_id(inst.queries), by_id(inst.db), 1,
                          DistanceThreshold(25.0)) == 0.0 for sl in shortlists]
     policy = GatePolicy(model=fit_logistic(list(zip([s.u for s in scores], wrong))),
                         threshold=0.5)
@@ -449,7 +463,7 @@ class TestEvaluateMatchesPerQueryReference:
         for tau in taus:
             for system, results in systems.items():
                 for kk in ks:
-                    expected = recall_at_k(results, inst.queries.by_id, inst.db.by_id, kk,
+                    expected = recall_at_k(results, by_id(inst.queries), by_id(inst.db), kk,
                                            DistanceThreshold(tau))
                     assert report.recalls[repr(tau)][system][str(kk)] == expected
 
@@ -484,6 +498,30 @@ class TestEvaluateErrors:
         with pytest.raises(ValidationError, match="k must be >= 1"):
             evaluate_pipeline(inst.db, inst.queries, TableProvider(inst.inliers),
                               k=5, ks=(1, 0), gate_estimator="oracle")
+
+    @pytest.mark.parametrize("override, message", [
+        (dict(workers=0), "workers must be >= 1, got 0"),
+        (dict(taus=()), "need at least one tau and one K"),
+        (dict(ks=()), "need at least one tau and one K"),
+        (dict(queries=make_split(np.empty((0, 8)), prefix="q")),
+         "recall is undefined over zero queries"),
+        (dict(taus=(25.0, -1.0)), "tau must be a positive real, got -1.0"),
+        (dict(taus=(math.nan,)), "tau must be a positive real, got nan"),
+        (dict(gate_estimator="bogus"), "unknown gate estimator 'bogus'"),
+        (dict(gate_threshold=1.5), "gate threshold must be strictly inside (0, 1), got 1.5"),
+        (dict(gate_estimator="l2", gate_model=LogisticModel(w=1.0, b=0.0, mean=0.0, std=1.0),
+              gate_threshold=0.0), "gate threshold must be strictly inside (0, 1), got 0.0"),
+        (dict(gate_estimator="oracle", gate_threshold=7),
+         "gate threshold must be strictly inside (0, 1), got 7"),
+    ], ids=["no-workers", "no-taus", "no-ks", "no-queries", "negative-tau", "nan-tau",
+            "unknown-gate", "threshold-above-1", "threshold-0-with-model", "oracle-threshold-7"])
+    def test_a_bad_argument_is_rejected_before_any_matcher_call(self, override, message):
+        inst = generate(SynthConfig(n_db=60, n_queries=20, dim=8, seed=570), k=5)
+        provider = CountingProvider(TableProvider(inst.inliers))
+        args = {"db": inst.db, "queries": inst.queries, "provider": provider, "k": 5, **override}
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            evaluate_pipeline(**args)
+        assert provider.calls == 0
 
     def test_missing_top1_pair_names_the_pair(self):
         inst = generate(SynthConfig(n_db=60, n_queries=20, dim=8, seed=571), k=5)

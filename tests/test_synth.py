@@ -7,6 +7,8 @@ from vprkit.evaluation import evaluate_pipeline
 from vprkit.matching import TableProvider, load_inlier_table
 from vprkit.synth import SynthConfig, generate, write_instance
 
+from conftest import by_id
+
 
 def small_config(**overrides):
     base = dict(n_db=150, n_queries=100, dim=16, target_retrieval_r1=0.9,
@@ -29,6 +31,14 @@ class TestSynthConfig:
     def test_dim_floor(self):
         with pytest.raises(ValidationError):
             SynthConfig(n_db=10, n_queries=5, dim=1)
+
+    @pytest.mark.parametrize("override, message", [
+        (dict(n_db=0), "n_db and n_queries must be positive"),
+        (dict(inlier_noise_scale=-0.5), "inlier_noise_scale must be non-negative"),
+    ], ids=["no-db", "negative-noise"])
+    def test_a_bad_size_or_noise_is_rejected(self, override, message):
+        with pytest.raises(ValidationError, match=message):
+            SynthConfig(**{"n_db": 10, "n_queries": 5, "dim": 8, **override})
 
 
 class TestGenerate:
@@ -90,10 +100,15 @@ class TestGenerate:
         b = generate(small_config(seed=2), k=10)
         assert not np.array_equal(a.db.blob.rows, b.db.blob.rows)
 
+    def test_negative_gps_noise_is_rejected(self):
+        with pytest.raises(ValidationError, match="gps_noise_m must be non-negative"):
+            generate(small_config(), k=10, gps_noise_m=-1)
+
     def test_gps_noise_breaks_clean_labels(self):
         noisy = generate(small_config(target_retrieval_r1=1.0), k=10, gps_noise_m=60.0)
         tau = DistanceThreshold(25.0)
-        truth = [noisy.db.by_id[noisy.truth[q.id]] for q in noisy.queries.records]
+        db = by_id(noisy.db)
+        truth = [db[noisy.truth[q.id]] for q in noisy.queries.records]
         dists = haversine_many([q.lat for q in noisy.queries.records],
                                [q.lon for q in noisy.queries.records],
                                [d.lat for d in truth], [d.lon for d in truth])

@@ -129,19 +129,15 @@ class TestSue:
                     rid, 45.0 + float(rng.uniform(-0.002, 0.002)),
                     7.0 + float(rng.uniform(-0.002, 0.002)))
                 entries.append((rid, dists[i]))
-            sigma = float(rng.uniform(0.2, 1.0))
-            got = u_sue(shortlist(*entries), records, top=n, sigma=sigma).u
-            want = sue_oracle(entries, records, sigma)
+            got = u_sue(shortlist(*entries), records).u
+            want = sue_oracle(entries, records, dists[0] + 1e-9)
             assert got == pytest.approx(want, rel=1e-9)
 
     def test_top_limits_candidates(self):
-        records = {
-            "a": GeoRecord("a", 10.0, 20.0),
-            "b": GeoRecord("b", 10.0, 20.0),
-            "far": GeoRecord("far", 11.0, 21.0),
-        }
-        sl = shortlist(("a", 0.1), ("b", 0.2), ("far", 0.3))
-        assert u_sue(sl, records, top=2).u == 0.0
+        records = {f"d{i}": GeoRecord(f"d{i}", 10.0, 20.0) for i in range(10)}
+        records["far"] = GeoRecord("far", 11.0, 21.0)
+        sl = shortlist(*[(f"d{i}", 0.1 + 0.01 * i) for i in range(10)], ("far", 0.2))
+        assert u_sue(sl, records).u == 0.0
 
     def test_unresolvable_id(self):
         with pytest.raises(ValidationError, match="not in database"):
