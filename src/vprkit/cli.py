@@ -113,9 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query-manifest", required=True)
     p.add_argument("--query-blob", required=True)
     p.add_argument("--inliers", required=True)
-    p.add_argument("--model", help="logistic model JSON for the gate")
-    p.add_argument("--oracle-gate", action="store_true",
-                   help="gate on ground-truth top-1 correctness instead of a model")
+    gate = p.add_mutually_exclusive_group()
+    gate.add_argument("--model", help="logistic model JSON for the gate")
+    gate.add_argument("--oracle-gate", action="store_true",
+                      help="gate on ground-truth top-1 correctness instead of a model")
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--pr-csv", help="write PR curves CSV here")
     p.set_defaults(func=cmd_evaluate)

@@ -26,7 +26,7 @@ BLOCK_VALUES = 1 << 14  # floats per ingest check block: 128 KiB as float64
 EARTH_RADIUS_M = 6_371_000.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoRecord:
     """One image identity: unique id, WGS84 position; its list position is its blob row."""
 

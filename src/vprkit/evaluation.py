@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -32,6 +31,13 @@ from .uncertainty import (
 
 DEFAULT_KS = (1, 5, 10, 100)
 ORACLE_GATE = "oracle"
+
+
+def _as_estimator(value, what: str) -> Estimator:
+    try:
+        return Estimator(value)
+    except ValueError:
+        raise ValidationError(f"unknown {what} {value!r}") from None
 
 
 def pr_curve(samples: Sequence[tuple[float, bool]]) -> list[tuple[float, float]]:
@@ -158,9 +164,9 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
     held-out split for anything else). Deterministic for fixed seed, at any
     ``workers`` degree; ``workers`` threads fetch the re-ranking inlier counts.
 
-    Every system is a permutation of the same shortlist positions: each reads
-    one boolean queries x positions correctness matrix per tau through its
-    own permutation, and a fired query reuses its full re-ranking order.
+    Every system is a permutation of the same shortlist positions: retrieval
+    reads one boolean queries x positions correctness matrix per tau, re-ranking
+    reads it permuted, and a fired query takes its re-ranked row of hits.
     Re-ranking writes each shortlist's ``inlier_keys`` row, which asks
     ``provider.get_inliers`` for every pair, into one queries x positions key
     matrix and orders all queries with one stable argsort. Every estimator
@@ -180,11 +186,9 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
     ks = tuple(int(x) for x in ks)
     if min(ks) < 1:
         raise ValidationError(f"k must be >= 1, got {min(ks)}")
+    estimators = tuple(_as_estimator(e, "estimator") for e in estimators)
     if gate_estimator != ORACLE_GATE:
-        try:
-            gate_estimator = Estimator(gate_estimator)
-        except ValueError:
-            raise ValidationError(f"unknown gate estimator {gate_estimator!r}") from None
+        gate_estimator = _as_estimator(gate_estimator, "gate estimator")
     _check_threshold(gate_threshold)
 
     shortlists = search_all(build_index(db), queries, k)
@@ -194,7 +198,8 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
     # correct[tau][i, j]: candidate j of query i lies within tau meters,
     # labelled a block of query rows at a time to bound the temporaries
     row = {r.id: i for i, r in enumerate(db.records)}
-    cand_rows = np.array([[row[d] for d in sl.db_ids] for sl in shortlists])
+    ids = (db_id for sl in shortlists for db_id in sl.db_ids)
+    cand_rows = np.fromiter(map(row.__getitem__, ids), dtype=np.intp).reshape(n_q, -1)
     db_coords, q_coords = db.coords(), queries.coords()
     correct = {tau: np.empty(cand_rows.shape, dtype=bool) for tau in taus}
     for lo in range(0, n_q, BLOCK_ROWS):
@@ -203,7 +208,7 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
         dists = haversine_many(q[..., 0], q[..., 1], cand[..., 0], cand[..., 1])
         for tau in taus:
             correct[tau][lo:lo + BLOCK_ROWS] = dists <= tau
-    del cand_rows
+    del row, cand_rows
 
     # keys[i, j]: the sort key of candidate j of query i (rerank's rule)
     keys = np.empty(correct[taus[0]].shape, dtype=np.int64)
@@ -224,17 +229,18 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
         for i in range(n_q):
             _fetch(i)
     else:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(_fetch, range(n_q)))
     rerank_order = np.argsort(keys, axis=1, kind="stable")
     del keys
-    retrieval_order = np.arange(rerank_order.shape[1])[None, :]
     known = _KnownCounts(provider, top1_outcomes)
     # a real gate's estimator is scored here too, once, also when the report omits it
     gate_scored = () if gate_estimator == ORACLE_GATE else (gate_estimator,)
     scores_by_estimator = {est: compute_uncertainties(shortlists, est, db_records=db_records,
                                                       provider=known, seed=seed)
                            for est in dict.fromkeys((*estimators, *gate_scored))}
+    del shortlists, db_records, known, top1_outcomes  # the report reads none of them
 
     report = EvalReport(n_queries=n_q, k=k, ks=ks, taus=taus, seed=seed)
 
@@ -266,13 +272,13 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
     report.gate = {"estimator": str(gate_estimator), "threshold": gate_threshold,
                    "fitted_here": fitted_here}
 
-    systems = {"retrieval": retrieval_order, "rerank": rerank_order,
-               "adaptive": np.where(fired[:, None], rerank_order, retrieval_order)}
     for tau in report.taus:
         key = _tau_key(tau)
         report.recalls[key] = {}
-        for system, order in systems.items():
-            hit = np.take_along_axis(correct[tau], order, axis=1)
+        rerank_hit = np.take_along_axis(correct[tau], rerank_order, axis=1)
+        hits = {"retrieval": correct[tau], "rerank": rerank_hit,
+                "adaptive": np.where(fired[:, None], rerank_hit, correct[tau])}
+        for system, hit in hits.items():
             report.recalls[key][system] = {
                 str(kk): 100.0 * int(np.count_nonzero(hit[:, :kk].any(axis=1))) / n_q
                 for kk in report.ks

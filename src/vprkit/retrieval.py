@@ -9,14 +9,16 @@ E ≈ (d + 4)·2⁻²⁴·(max‖x‖ + ‖q‖)² is the forward error bound ``
 (Higham, *Accuracy and Stability of Numerical Algorithms*, §3.1). Peak memory
 grows with the block, not with the number of queries.
 
-A shortlist is stored as columns: its candidate ids and their distances are
-two parallel lists, nearest first, and every shortlist holds at least one
-candidate.
+A shortlist is stored as columns, nearest first: a list of str ids and one
+float64 ``array('d')`` of distances, which keeps ``rerank``, ``uncertainty``
+and ``gate`` numpy-free; ``ids()`` and ``distances()`` still return lists.
+Every shortlist holds at least one candidate.
 """
 
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -29,15 +31,17 @@ if TYPE_CHECKING:
 BLOCK_ROWS = 32  # query rows screened per GEMM
 
 
-@dataclass
+@dataclass(slots=True)
 class Shortlist:
     """Ranked top-k candidates for one query, nearest first, as columns."""
 
     query_id: str
     db_ids: list[str]
-    dists: list[float]
+    dists: array
 
     def __post_init__(self):
+        if getattr(self.dists, "typecode", None) != "d":
+            self.dists = array("d", self.dists)
         if not self.db_ids:
             raise ValidationError(f"query {self.query_id!r}: empty shortlist")
         if len(self.db_ids) != len(self.dists):
@@ -105,9 +109,9 @@ def _search_rows(index: Index, queries: np.ndarray, query_ids: list[str],
             bad = query_ids[lo + int(np.argmin(finite))]
             raise ValidationError(f"query {bad!r}: descriptor has non-finite values")
         rows, sq = _kernels.top_k(index._vectors, index._sq_norms, block, k, screen)
-        for query_id, top, dists in zip(query_ids[lo:lo + BLOCK_ROWS], rows.tolist(),
-                                        np.sqrt(sq).tolist()):
-            shortlists.append(Shortlist(query_id, [index.ids[i] for i in top], dists))
+        for query_id, top, dists in zip(query_ids[lo:lo + BLOCK_ROWS], rows.tolist(), np.sqrt(sq)):
+            shortlists.append(Shortlist(query_id, [index.ids[i] for i in top],
+                                        array("d", dists.tobytes())))
     return shortlists
 
 
@@ -138,7 +142,7 @@ def write_shortlists_csv(shortlists: list[Shortlist], path) -> None:
 def read_shortlists_csv(path) -> list[Shortlist]:
     """Read shortlists written by write_shortlists_csv, in first-appearance order;
     a query's rows may come in any order, but its ranks must be exactly 1..n."""
-    columns: dict[str, tuple[list[int], list[str], list[float]]] = {}
+    columns: dict[str, tuple[list[int], list[str], array]] = {}
     db_names: dict[str, str] = {}  # one string object per distinct db id
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -158,7 +162,7 @@ def read_shortlists_csv(path) -> list[Shortlist]:
                 raise ValidationError(f"{path}: line {lineno}: rank/distance out of range")
             cols = columns.get(qid)
             if cols is None:
-                cols = columns[qid] = ([], [], [])
+                cols = columns[qid] = ([], [], array("d"))
             cols[0].append(rank)
             cols[1].append(db_names.setdefault(db_id, db_id))
             cols[2].append(dist)

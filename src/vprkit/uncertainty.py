@@ -58,7 +58,7 @@ class Estimator(str, enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UncertaintyScore:
     query_id: str
     estimator: Estimator

@@ -170,6 +170,22 @@ class TestExitCodes:
             "error: gate threshold must be strictly inside (0, 1), got 7.0\n"
         assert not out.exists()
 
+    def test_oracle_gate_and_model_exclude_each_other(self, instance_dir, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text('{"w": 1.0, "b": 0.0, "mean": 0.0, "std": 1.0}\n')
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--db-manifest", str(instance_dir / "db.jsonl"),
+                  "--db-blob", str(instance_dir / "db.vprd"),
+                  "--query-manifest", str(instance_dir / "queries.jsonl"),
+                  "--query-blob", str(instance_dir / "queries.vprd"),
+                  "--inliers", str(instance_dir / "inliers.csv"),
+                  "--oracle-gate", "--model", str(model), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "not allowed with" in err and "--oracle-gate" in err and "--model" in err
+        assert not out.exists()
+
     def test_missing_estimator_input(self, instance_dir, tmp_path, capsys):
         shortlists = tmp_path / "s.csv"
         run_ok(["retrieve",

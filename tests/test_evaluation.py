@@ -508,13 +508,16 @@ class TestEvaluateErrors:
         (dict(taus=(25.0, -1.0)), "tau must be a positive real, got -1.0"),
         (dict(taus=(math.nan,)), "tau must be a positive real, got nan"),
         (dict(gate_estimator="bogus"), "unknown gate estimator 'bogus'"),
+        (dict(estimators=("bogus",)), "unknown estimator 'bogus'"),
+        (dict(estimators=(Estimator.L2, "bogus")), "unknown estimator 'bogus'"),
         (dict(gate_threshold=1.5), "gate threshold must be strictly inside (0, 1), got 1.5"),
         (dict(gate_estimator="l2", gate_model=LogisticModel(w=1.0, b=0.0, mean=0.0, std=1.0),
               gate_threshold=0.0), "gate threshold must be strictly inside (0, 1), got 0.0"),
         (dict(gate_estimator="oracle", gate_threshold=7),
          "gate threshold must be strictly inside (0, 1), got 7"),
     ], ids=["no-workers", "no-taus", "no-ks", "no-queries", "negative-tau", "nan-tau",
-            "unknown-gate", "threshold-above-1", "threshold-0-with-model", "oracle-threshold-7"])
+            "unknown-gate", "unknown-estimator", "unknown-after-a-member", "threshold-above-1",
+            "threshold-0-with-model", "oracle-threshold-7"])
     def test_a_bad_argument_is_rejected_before_any_matcher_call(self, override, message):
         inst = generate(SynthConfig(n_db=60, n_queries=20, dim=8, seed=570), k=5)
         provider = CountingProvider(TableProvider(inst.inliers))
@@ -522,6 +525,16 @@ class TestEvaluateErrors:
         with pytest.raises(ValidationError, match=re.escape(message)):
             evaluate_pipeline(**args)
         assert provider.calls == 0
+
+    def test_an_estimator_name_scores_like_its_member(self):
+        inst = generate(SynthConfig(n_db=60, n_queries=20, dim=8, seed=570), k=5)
+        provider = TableProvider(inst.inliers)
+        by_name, by_member = (
+            evaluate_pipeline(inst.db, inst.queries, provider, k=5, estimators=estimators,
+                              gate_estimator="oracle").to_json()
+            for estimators in (("l2", "inlier"), (Estimator.L2, Estimator.INLIER)))
+        assert by_name == by_member
+        assert '"l2"' in by_name
 
     def test_missing_top1_pair_names_the_pair(self):
         inst = generate(SynthConfig(n_db=60, n_queries=20, dim=8, seed=571), k=5)

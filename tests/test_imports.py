@@ -106,6 +106,14 @@ def test_importing_the_cli_leaves_the_matcher_process_modules_unloaded():
     assert proc.stdout == "[]\n"
 
 
+def test_importing_evaluation_leaves_the_thread_pool_unloaded():
+    # only evaluate_pipeline(workers > 1) starts a pool; not -S, which would hide numpy
+    code = "import sys, vprkit.evaluation\nprint('concurrent.futures' in sys.modules)\n"
+    proc = python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 @pytest.mark.parametrize("name", ["rerank", "uncertainty-inlier", "uncertainty-l2",
                                   "uncertainty-pa", "uncertainty-random", "gate-inlier"])
 def test_command_runs_without_numpy_and_writes_the_same_bytes(inst, tmp_path, name):

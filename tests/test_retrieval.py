@@ -1,13 +1,16 @@
 import math
 import re
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
 
+from vprkit import _kernels
 from vprkit.dataset import DescriptorBlob, GeoRecord, Split
 from vprkit.errors import ValidationError
 from vprkit.retrieval import (
+    BLOCK_ROWS,
     Shortlist,
     build_index,
     read_shortlists_csv,
@@ -52,6 +55,33 @@ class TestShortlist:
             order, oracle = oracle_full_sort(vectors, row)
             assert ids == [f"r{i}" for i in order[:7]]
             assert dists == [oracle[i] for i in order[:7]]
+
+    def test_search_all_distances_are_the_kernels_float64_rows(self, rng):
+        db = make_split(unit_rows(rng, 60, 8))
+        queries = make_split(unit_rows(rng, BLOCK_ROWS + 3, 8), prefix="q")
+        index = build_index(db)
+        shortlists = search_all(index, queries, 9)
+        for lo in range(0, len(queries), BLOCK_ROWS):
+            block = np.asarray(queries.blob.rows[lo:lo + BLOCK_ROWS], dtype=np.float64)
+            screen = np.empty((len(block), len(db)), dtype=np.float32)
+            _, sq = _kernels.top_k(index._vectors, index._sq_norms, block, 9, screen)
+            for sl, want in zip(shortlists[lo:lo + BLOCK_ROWS], np.sqrt(sq)):
+                assert type(sl.dists) is array and sl.dists.typecode == "d"
+                assert sl.dists.tobytes() == want.tobytes()
+
+    def test_any_float_sequence_becomes_a_float64_array(self):
+        for dists in ([0.5], (0.5,), np.array([0.5], dtype=np.float32), array("f", [0.5])):
+            sl = Shortlist("q", ["a"], dists)
+            assert type(sl.dists) is array and sl.dists.typecode == "d"
+            assert sl.dists.tolist() == [0.5]
+        kept = array("d", [0.25])
+        assert Shortlist("q", ["a"], kept).dists is kept
+
+    def test_records_and_scores_have_no_instance_dict(self):
+        from vprkit.uncertainty import Estimator, UncertaintyScore
+        for obj in (GeoRecord("a", 1.0, 2.0), UncertaintyScore("q", Estimator.L2, 0.5),
+                    Shortlist("q", ["a"], [0.5])):
+            assert not hasattr(obj, "__dict__")
 
 
 class TestBuildIndex:
@@ -351,6 +381,7 @@ class TestShortlistCsv:
         for a, b in zip(loaded, shortlists):
             assert a.ids() == b.ids()
             assert a.distances() == b.distances()
+            assert a.dists.tobytes() == b.dists.tobytes()
 
     def test_random_round_trip_ragged_and_tied(self, tmp_path, rng):
         shortlists = []
