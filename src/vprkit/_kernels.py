@@ -7,8 +7,9 @@ k-th smallest ŝ with the sequential loop: Σ_j (x_j − q_j)², in float64 one
 dimension at a time. E = (γ_{d+4} + 2γ'_{d+2})R² + 2⁻¹²⁰d(1 + R), with
 R = max‖x‖ + ‖q‖ and γ, γ' for float32 and float64, bounds |ŝ + ‖q‖² − loop|
 (Higham, *Accuracy and Stability of Numerical Algorithms*, §3.1), so no row
-outside the margin can reach the loop's top k. The result is a full stable
-sort of the loop's distances, boundary ties included, for any block of queries.
+outside the margin can reach the loop's top k. One stable argsort per query
+of its candidates' distances, padded with +inf, is a full stable sort of the
+loop's distances, boundary ties included, for any block of queries.
 """
 
 from __future__ import annotations
@@ -72,14 +73,20 @@ def top_k(vectors: np.ndarray, vector_sq_norms: np.ndarray, queries: np.ndarray,
     rows, cols = np.divmod(np.flatnonzero(keep), n)  # by query, then by row index
 
     # the sequential reference, candidate pairs only, one dimension at a time;
-    # float32 row values widen to float64 exactly
+    # float32 row values widen to float64 exactly. A squared distance past
+    # float64's range is +inf, the loop's own value, so its overflow is silent
     exact = np.zeros(len(rows))
-    for j in range(d):
-        diff = vectors[cols, j] - queries[rows, j]
-        exact += diff * diff
+    with np.errstate(over="ignore"):
+        for j in range(d):
+            diff = vectors[cols, j] - queries[rows, j]
+            exact += diff * diff
 
-    # lexsort is stable, so equal distances keep their row-index order
-    order = np.lexsort((exact, rows))
-    rows, cols, exact = rows[order], cols[order], exact[order]
-    top = np.arange(len(rows)) - np.searchsorted(rows, rows) < kk  # rank in query
-    return cols[top].reshape(-1, kk), exact[top].reshape(-1, kk)
+    # one row per query, its candidates in row-index order, then +inf padding,
+    # which a stable sort keeps after every real entry, +inf distances included
+    counts = np.count_nonzero(keep, axis=1)
+    del rows, keep  # read no more: freed before the sort's arrays are made
+    padded = np.full((len(queries), counts.max()), np.inf)
+    padded[np.arange(padded.shape[1]) < counts[:, None]] = exact
+    top = np.argsort(padded, axis=1, kind="stable")[:, :kk]
+    top += (np.cumsum(counts) - counts)[:, None]  # position in query → in rows
+    return cols[top], exact[top]

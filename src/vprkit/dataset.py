@@ -14,6 +14,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
 import numpy as np
@@ -119,10 +120,17 @@ def read_manifest(path) -> list[GeoRecord]:
     return records
 
 
+def _json(value) -> str:
+    """``json.dumps(value)``; a str or a finite float goes straight to json's encoder."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return float.__repr__(value) if isinstance(value, float) else json.dumps(value)
+
+
 def write_manifest(records: Iterable[GeoRecord], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps({"id": rec.id, "lat": rec.lat, "lon": rec.lon}) + "\n")
+        fh.writelines(f'{{"id": {_json(r.id)}, "lat": {_json(r.lat)}, "lon": {_json(r.lon)}}}\n'
+                      for r in records)
 
 
 def read_blob(path) -> DescriptorBlob:

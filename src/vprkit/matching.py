@@ -9,6 +9,7 @@ never degrade to zero: zero inliers is itself a meaningful measurement.
 from __future__ import annotations
 
 import csv
+import io
 import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -74,13 +75,25 @@ def load_inlier_table(path) -> InlierTable:
     return InlierTable(rows=rows)
 
 
+class _CsvCells(dict):
+    """Each value's cell text exactly as ``csv.writer`` writes it amid other fields, asked of
+    ``csv.writer`` once per value; a value that needs no quoting is its own text, not a copy."""
+
+    def __missing__(self, value) -> str:
+        out = io.StringIO()
+        csv.writer(out).writerow((value, ""))
+        text = out.getvalue()[:-3]  # drop the ",\r\n"
+        return self.setdefault(value, value if text == value else text)
+
+
 def write_inlier_table(table: InlierTable, path) -> None:
-    """Write queries in table order, each with its pairs in row order."""
+    """Write queries in table order, each with its pairs in row order, one write per query."""
+    cells = _CsvCells()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(INLIER_CSV_HEADER)
-        writer.writerows([qid, db_id, count]
-                         for qid, row in table.rows.items() for db_id, count in row.items())
+        fh.write(",".join(INLIER_CSV_HEADER) + "\r\n")
+        for qid, row in table.rows.items():
+            q = cells[qid]
+            fh.write("".join([f"{q},{cells[db_id]},{count}\r\n" for db_id, count in row.items()]))
 
 
 class MatcherProvider:

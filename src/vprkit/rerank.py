@@ -13,12 +13,11 @@ the retrieval order is returned untouched.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import MatcherError, MissingPairError, ValidationError
-from .matching import MatcherProvider
+from .matching import MatcherProvider, _CsvCells
 from .retrieval import Shortlist
 from .uncertainty import Estimator, LogisticModel, UncertaintyScore, score_prob
 
@@ -136,14 +135,13 @@ def write_reranked_csv(reranked: Iterable[RerankedShortlist], path) -> int:
     need not hold every list at once. Returns the number of rows written with
     a blank ``inliers`` cell."""
     blank = 0
+    cells = _CsvCells()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["query_id", "new_rank", "db_id", "inliers", "original_rank", "gate_fired"])
+        fh.write("query_id,new_rank,db_id,inliers,original_rank,gate_fired\r\n")
         for rr in reranked:
-            fired = "true" if rr.gate_fired else "false"
-            rows = zip(rr.db_ids, rr.inliers, rr.original_ranks)
-            for new_rank, (db_id, count, original_rank) in enumerate(rows, start=1):
-                blank += count is None
-                inliers = "" if count is None else str(count)
-                writer.writerow([rr.query_id, new_rank, db_id, inliers, original_rank, fired])
+            q, fired = cells[rr.query_id], "true" if rr.gate_fired else "false"
+            blank += rr.inliers.count(None)
+            rows = enumerate(zip(rr.db_ids, rr.inliers, rr.original_ranks), start=1)
+            fh.write("".join([f"{q},{new_rank},{cells[db_id]},{'' if n is None else n},"
+                              f"{rank},{fired}\r\n" for new_rank, (db_id, n, rank) in rows]))
     return blank

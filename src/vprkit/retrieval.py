@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import ValidationError
+from .matching import _CsvCells
 
 if TYPE_CHECKING:
     import numpy as np
@@ -130,13 +131,14 @@ def search_all(index: Index, queries: Split, k: int) -> list[Shortlist]:
 
 
 def write_shortlists_csv(shortlists: list[Shortlist], path) -> None:
-    """CSV export: query_id,rank,db_id,distance with 1-based ranks."""
+    """CSV export: query_id,rank,db_id,distance with 1-based ranks, one write per query."""
+    cells = _CsvCells()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["query_id", "rank", "db_id", "distance"])
+        fh.write("query_id,rank,db_id,distance\r\n")
         for sl in shortlists:
-            for rank, (db_id, dist) in enumerate(zip(sl.db_ids, sl.dists), start=1):
-                writer.writerow([sl.query_id, rank, db_id, repr(dist)])
+            q = cells[sl.query_id]
+            fh.write("".join([f"{q},{rank},{cells[db_id]},{dist!r}\r\n" for rank, (db_id, dist)
+                              in enumerate(zip(sl.db_ids, sl.dists), start=1)]))
 
 
 def read_shortlists_csv(path) -> list[Shortlist]:

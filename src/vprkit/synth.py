@@ -33,6 +33,13 @@ HIGH_COUNT_BASE = 50
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """Sizes, difficulty and seed of one synthetic instance.
+
+    round(target_retrieval_r1 · n_queries) queries are meant to hit at rank 1
+    and the rest to miss. A miss blends its query toward a distractor, a
+    database row other than its true match, so any miss needs n_db ≥ 2.
+    """
+
     n_db: int
     n_queries: int
     dim: int
@@ -56,6 +63,10 @@ class SynthConfig:
                 raise ValidationError(f"{name} must be in [0, 1], got {value}")
         if self.inlier_noise_scale < 0:
             raise ValidationError("inlier_noise_scale must be non-negative")
+        if self.n_db < 2 and round(self.target_retrieval_r1 * self.n_queries) < self.n_queries:
+            raise ValidationError(
+                f"infeasible config: a query meant to miss needs a distractor row besides "
+                f"its true match, so n_db must be >= 2, got {self.n_db}")
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import struct
 
@@ -20,6 +22,19 @@ def write_manifest_file(path, rows):
             else:
                 rid, lat, lon = row
                 fh.write(json.dumps({"id": rid, "lat": lat, "lon": lon}) + "\n")
+
+
+# ids that csv.writer must quote, or that sit at its edges, for the writers'
+# byte tests; none is empty, since a manifest id may not be
+AWKWARD_IDS = ["plain", "a,b", 'say "hi"', '"', "cr\rx", "lf\nx", "crlf\r\nx", " lead",
+               "trail ", " ", "héllo", "日本", "x\u2028y", "tab\tx", "x'y"]
+
+
+def csv_bytes(rows) -> bytes:
+    """What csv.writer writes for ``rows``, as UTF-8: the writers' reference."""
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue().encode("utf-8")
 
 
 def write_blob_file(path, rows, count=None, dim=None):

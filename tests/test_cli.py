@@ -1,7 +1,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +160,18 @@ class TestExitCodes:
         code = main(["synth", "--out-dir", str(tmp_path / "x"),
                      "--n-db", "5", "--n-queries", "50"])
         assert code == 1
+
+    def test_synth_with_one_db_row_and_a_miss_exits_1(self, tmp_path):
+        # its own process, so that a distractor draw that never ends fails
+        # on the timeout instead of hanging the suite
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "vprkit.cli", "synth", "--out-dir", str(tmp_path / "x"),
+             "--n-db", "1", "--n-queries", "1", "--target-r1", "0.5"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            timeout=60)
+        assert proc.returncode == 1
+        assert "n_db must be >= 2, got 1" in proc.stderr
 
     def test_oracle_gate_checks_its_threshold(self, instance_dir, tmp_path, capsys):
         out = tmp_path / "report.json"

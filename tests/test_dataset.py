@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import tracemalloc
@@ -9,15 +10,17 @@ from vprkit.dataset import (
     BLOCK_VALUES,
     NORM_TOLERANCE,
     DistanceThreshold,
+    GeoRecord,
     haversine_many,
     load_split,
     read_blob,
     read_manifest,
     write_blob,
+    write_manifest,
 )
 from vprkit.errors import ValidationError
 
-from conftest import write_blob_file, write_manifest_file
+from conftest import AWKWARD_IDS, write_blob_file, write_manifest_file
 
 ONE_DEGREE_EQUATOR_M = math.pi * 6_371_000.0 / 180.0
 
@@ -87,6 +90,18 @@ class TestLoadSplit:
         manifest = tmp_path / "m.jsonl"
         manifest.write_text('{"id": "a", "lat": 45, "lon": -7}\n')
         assert [(r.lat, r.lon) for r in read_manifest(manifest)] == [(45.0, -7.0)]
+
+    def test_manifest_bytes_are_json_dumps_per_line(self, tmp_path):
+        lats = [45.0, -0.0, 5e-324, 1 / 3, 90, -90.0, np.float64(7.1), 12.000000000000002]
+        lons = [7, -180, 180.0, -1e-300, 0.1, np.float64(-7.3)]
+        records = [GeoRecord(rid, lats[i % len(lats)], lons[i % len(lons)])
+                   for i, rid in enumerate(AWKWARD_IDS)]
+        path = tmp_path / "m.jsonl"
+        write_manifest(records, path)
+        assert path.read_bytes() == "".join(
+            json.dumps({"id": r.id, "lat": r.lat, "lon": r.lon}) + "\n" for r in records
+        ).encode("utf-8")
+        assert read_manifest(path) == records  # an int coordinate reads back as its float
 
     def test_bad_magic(self, tmp_path):
         blob = tmp_path / "d.vprd"

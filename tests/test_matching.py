@@ -15,13 +15,15 @@ from vprkit.errors import (
     ValidationError,
 )
 from vprkit.matching import (
+    INLIER_CSV_HEADER,
+    InlierTable,
     SubprocessProvider,
     TableProvider,
     load_inlier_table,
     write_inlier_table,
 )
 
-from conftest import inlier_table
+from conftest import AWKWARD_IDS, csv_bytes, inlier_table
 
 
 def write_csv(path, rows, header="query_id,db_id,inliers"):
@@ -92,6 +94,17 @@ class TestInlierTable:
         path = tmp_path / "out.csv"
         write_inlier_table(table, path)
         assert load_inlier_table(path).counts == table.counts
+
+    def test_writer_bytes_are_csv_writers_for_awkward_ids(self, tmp_path):
+        ids = AWKWARD_IDS + [""]  # an empty db id is a cell of its own
+        table = InlierTable({q: {d: (i * 7 + j) % 11 for j, d in enumerate(ids)}
+                             for i, q in enumerate(AWKWARD_IDS)})
+        path = tmp_path / "out.csv"
+        write_inlier_table(table, path)
+        assert path.read_bytes() == csv_bytes(
+            [INLIER_CSV_HEADER]
+            + [[q, d, n] for q, row in table.rows.items() for d, n in row.items()])
+        assert load_inlier_table(path).rows == table.rows
 
     def test_writer_groups_interleaved_queries(self, tmp_path):
         # queries in first-appearance order, each with its pairs in file order

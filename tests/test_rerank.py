@@ -1,12 +1,20 @@
+import csv
+
 import pytest
 
 from vprkit.errors import MissingPairError, ValidationError
 from vprkit.matching import MatcherProvider, TableProvider
-from vprkit.rerank import GatePolicy, adaptive_rerank, rerank, write_reranked_csv
+from vprkit.rerank import (
+    GatePolicy,
+    RerankedShortlist,
+    adaptive_rerank,
+    rerank,
+    write_reranked_csv,
+)
 from vprkit.retrieval import Shortlist
 from vprkit.uncertainty import Estimator, LogisticModel, UncertaintyScore
 
-from conftest import inlier_table
+from conftest import AWKWARD_IDS, csv_bytes, inlier_table
 
 
 def shortlist(query_id, ids, distances=None):
@@ -211,3 +219,21 @@ class TestRerankedCsv:
         assert lines[1] == "q,1,c,9,3,true"
         assert lines[2] == "q,2,a,1,1,true"
         assert lines[3] == "q,3,b,,2,true"  # missing count stays blank
+
+    def test_bytes_are_csv_writers_for_awkward_ids(self, tmp_path):
+        n = len(AWKWARD_IDS)
+        reranked = [RerankedShortlist(q, AWKWARD_IDS[i:] + AWKWARD_IDS[:i],
+                                      [None if (i + j) % 4 == 0 else j * 7 for j in range(n)],
+                                      list(range(n, 0, -1)), gate_fired=i % 2 == 0)
+                    for i, q in enumerate(AWKWARD_IDS + [""])]
+        header = ["query_id", "new_rank", "db_id", "inliers", "original_rank", "gate_fired"]
+        rows = [[rr.query_id, new_rank, db_id, "" if count is None else str(count), rank,
+                 "true" if rr.gate_fired else "false"] for rr in reranked
+                for new_rank, (db_id, count, rank)
+                in enumerate(zip(rr.db_ids, rr.inliers, rr.original_ranks), start=1)]
+        path = tmp_path / "rr.csv"
+        blank = write_reranked_csv(iter(reranked), path)
+        assert blank == sum(row[3] == "" for row in rows)
+        assert path.read_bytes() == csv_bytes([header] + rows)
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == [header] + [list(map(str, row)) for row in rows]

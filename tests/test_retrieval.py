@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 from array import array
 
 import numpy as np
@@ -19,7 +20,7 @@ from vprkit.retrieval import (
     write_shortlists_csv,
 )
 
-from conftest import full_sort_top_k, make_split, unit_rows
+from conftest import AWKWARD_IDS, csv_bytes, full_sort_top_k, make_split, unit_rows
 
 
 def oracle_full_sort(vectors, query):
@@ -201,6 +202,20 @@ def float64_queries(rows):
     return Split(records, DescriptorBlob(rows))
 
 
+def sort_inputs(monkeypatch, run):
+    """The matrices that np.argsort sorts while ``run()`` runs, copied."""
+    seen, argsort = [], np.argsort
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return argsort(a, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "argsort", spy)
+        run()
+    return seen
+
+
 def assert_matches_reference(db_rows, query_rows, k):
     """search and search_all both return the sequential full sort, bit for bit."""
     db = make_split(db_rows)
@@ -287,6 +302,31 @@ class TestExactness:
         assert sl.ids() == ["r0", "r1", "r2", "r3", "r4"]
         assert sl.distances() == [math.inf] * 5
 
+    def test_overflowing_query_among_normal_ones_warns_nothing(self, rng):
+        rows = unit_rows(rng, 10, 4).astype(np.float32)
+        queries = np.vstack([unit_rows(rng, 3, 4), np.full(4, 1e200), unit_rows(rng, 2, 4)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = search_all(build_index(make_split(rows)), float64_queries(queries), 5)
+        with np.errstate(over="ignore"):  # the reference loop overflows as well
+            want = [full_sort_top_k(rows, query, 5) for query in queries]
+        assert [(sl.ids(), sl.distances()) for sl in got] == \
+            [([f"r{j}" for j in top], np.sqrt(sq).tolist()) for top, sq in want]
+
+    def test_queries_of_one_block_keep_different_numbers_of_rows(self, rng, monkeypatch):
+        # query 0 sits on a row with 8 copies, a tie at the k-th distance for
+        # it alone; query 4 is beyond the screen's reach and keeps every row
+        rows = unit_rows(rng, 40, 8)
+        rows[rng.choice(np.arange(1, 40), size=8, replace=False)] = rows[0]
+        queries = np.vstack([rows[0], unit_rows(rng, 3, 8), unit_rows(rng, 1, 8) * 1e39,
+                             unit_rows(rng, 2, 8)])
+        for block in (queries[:4], queries):
+            padded = sort_inputs(monkeypatch, lambda: assert_matches_reference(rows, block, 3))
+            kept = np.isfinite(padded[0]).sum(axis=1)  # search_all's one block
+            assert kept[0] == 9 and kept[0] > kept[1:4].max()
+            assert padded[0].shape == (len(block), kept.max())
+        assert kept[4] == len(rows)
+
     def test_queries_within_a_float32_ulp_of_rows(self, rng):
         # rows one float32 ulp apart, and float64 queries a fraction of an ulp
         # off them: q̃ = fl32(q) moves each component by up to half an ulp,
@@ -324,16 +364,9 @@ class TestExactness:
         for rows, queries in cases:
             rows = rows.astype(np.float32)
             index = build_index(make_split(rows))
-            rescored, lexsort = [], np.lexsort
-
-            def counting_lexsort(keys):  # top_k sorts exactly its re-scored pairs
-                rescored.append(len(keys[0]))
-                return lexsort(keys)
-
-            with monkeypatch.context() as patch:
-                patch.setattr(np, "lexsort", counting_lexsort)
-                for query in queries:
-                    search(index, query, 3)
+            # top_k sorts exactly its re-scored pairs; one query per search: no padding
+            sorted_ = sort_inputs(monkeypatch, lambda: [search(index, q, 3) for q in queries])
+            rescored = [a.size for a in sorted_]
             assert rescored == [len(rows)] * len(queries)
             for k in (1, 3, 40):
                 assert_matches_reference(rows, queries, k)
@@ -478,3 +511,18 @@ class TestShortlistCsv:
         path.write_text("nope,fields\n")
         with pytest.raises(ValidationError, match="header"):
             read_shortlists_csv(path)
+
+    def test_bytes_are_csv_writers_for_awkward_ids(self, tmp_path):
+        n = len(AWKWARD_IDS)
+        dists = [0.0, 1 / 3, 0.1, 5e-324, 1e300, math.inf] * n
+        shortlists = [Shortlist(q, AWKWARD_IDS[i:] + AWKWARD_IDS[:i], dists[i:i + n])
+                      for i, q in enumerate(AWKWARD_IDS + [""])]
+        path = tmp_path / "s.csv"
+        write_shortlists_csv(shortlists, path)
+        assert path.read_bytes() == csv_bytes(
+            [["query_id", "rank", "db_id", "distance"]]
+            + [[sl.query_id, rank, db_id, repr(dist)] for sl in shortlists
+               for rank, (db_id, dist) in enumerate(zip(sl.db_ids, sl.dists), start=1)])
+        loaded = read_shortlists_csv(path)
+        assert [(sl.query_id, sl.ids(), sl.distances()) for sl in loaded] == \
+            [(sl.query_id, sl.ids(), sl.distances()) for sl in shortlists]

@@ -41,6 +41,16 @@ class TestSynthConfig:
             SynthConfig(**{"n_db": 10, "n_queries": 5, "dim": 8, **override})
 
 
+    def test_a_miss_needs_a_second_db_row(self):
+        # round(0.5) = 0 queries hit, so the one query must miss, and its
+        # distractor draw could only ever find its own true match
+        with pytest.raises(ValidationError, match="n_db must be >= 2, got 1"):
+            SynthConfig(n_db=1, n_queries=1, dim=8, target_retrieval_r1=0.5)
+        config = SynthConfig(n_db=1, n_queries=1, dim=8, target_retrieval_r1=0.6)  # one hit
+        assert generate(config, k=1).truth == {"q_00000": "db_00000"}
+        SynthConfig(n_db=2, n_queries=1, dim=8, target_retrieval_r1=0.0)
+
+
 class TestGenerate:
     def test_noiseless_fixed_point(self):
         config = small_config(target_retrieval_r1=1.0, matcher_quality=1.0,
