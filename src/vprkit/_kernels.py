@@ -7,9 +7,9 @@ k-th smallest ŝ with the sequential loop: Σ_j (x_j − q_j)², in float64 one
 dimension at a time. E = (γ_{d+4} + 2γ'_{d+2})R² + 2⁻¹²⁰d(1 + R), with
 R = max‖x‖ + ‖q‖ and γ, γ' for float32 and float64, bounds |ŝ + ‖q‖² − loop|
 (Higham, *Accuracy and Stability of Numerical Algorithms*, §3.1), so no row
-outside the margin can reach the loop's top k. One stable argsort per query
-of its candidates' distances, padded with +inf, is a full stable sort of the
-loop's distances, boundary ties included, for any block of queries.
+outside the margin can reach the loop's top k. A stable argsort of each
+query's candidates alone, kept in row-index order, is a full stable sort of
+the loop's distances, boundary ties included, for any block of queries.
 """
 
 from __future__ import annotations
@@ -81,12 +81,10 @@ def top_k(vectors: np.ndarray, vector_sq_norms: np.ndarray, queries: np.ndarray,
             diff = vectors[cols, j] - queries[rows, j]
             exact += diff * diff
 
-    # one row per query, its candidates in row-index order, then +inf padding,
-    # which a stable sort keeps after every real entry, +inf distances included
-    counts = np.count_nonzero(keep, axis=1)
-    del rows, keep  # read no more: freed before the sort's arrays are made
-    padded = np.full((len(queries), counts.max()), np.inf)
-    padded[np.arange(padded.shape[1]) < counts[:, None]] = exact
-    top = np.argsort(padded, axis=1, kind="stable")[:, :kk]
-    top += (np.cumsum(counts) - counts)[:, None]  # position in query → in rows
+    # each query's candidates sit together in row-index order, so a stable
+    # sort of that run alone is its (distance, row) order, +inf included
+    ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
+    del rows, keep  # read no more: freed before the sorts' arrays are made
+    top = np.array([start + np.argsort(exact[start:end], kind="stable")[:kk]
+                    for start, end in zip([0] + ends[:-1], ends)])
     return cols[top], exact[top]

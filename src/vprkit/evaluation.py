@@ -189,6 +189,8 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
     estimators = tuple(_as_estimator(e, "estimator") for e in estimators)
     if gate_estimator != ORACLE_GATE:
         gate_estimator = _as_estimator(gate_estimator, "gate estimator")
+    elif gate_model is not None:
+        raise ValidationError("the oracle gate reads no model, but a gate_model was given")
     _check_threshold(gate_threshold)
 
     shortlists = search_all(build_index(db), queries, k)

@@ -155,8 +155,8 @@ class SubprocessProvider(MatcherProvider):
     def __init__(self, command_template: str, timeout: float = 60.0, max_concurrent: int = 1):
         if "{query}" not in command_template or "{db}" not in command_template:
             raise ValidationError("command template must contain {query} and {db} placeholders")
-        if not timeout > 0:
-            raise ValidationError(f"timeout must be positive, got {timeout}")
+        if not 0 < timeout < float("inf"):
+            raise ValidationError(f"timeout must be positive and finite, got {timeout}")
         if max_concurrent < 1:
             raise ValidationError(f"max_concurrent must be >= 1, got {max_concurrent}")
         import shlex

@@ -40,6 +40,13 @@ class RerankedShortlist:
     gate_fired: bool
     diagnostics: list[tuple[str, MissingPairError | MatcherError]] = field(default_factory=list)
 
+    def __post_init__(self):
+        if not len(self.db_ids) == len(self.inliers) == len(self.original_ranks):
+            raise ValidationError(
+                f"query {self.query_id!r}: {len(self.db_ids)} ids but {len(self.inliers)} "
+                f"inlier counts and {len(self.original_ranks)} original ranks"
+            )
+
     def ids(self) -> list[str]:
         return list(self.db_ids)
 

@@ -515,9 +515,11 @@ class TestEvaluateErrors:
               gate_threshold=0.0), "gate threshold must be strictly inside (0, 1), got 0.0"),
         (dict(gate_estimator="oracle", gate_threshold=7),
          "gate threshold must be strictly inside (0, 1), got 7"),
+        (dict(gate_estimator="oracle", gate_model=LogisticModel(w=1.0, b=0.0, mean=0.0, std=1.0)),
+         "the oracle gate reads no model, but a gate_model was given"),
     ], ids=["no-workers", "no-taus", "no-ks", "no-queries", "negative-tau", "nan-tau",
             "unknown-gate", "unknown-estimator", "unknown-after-a-member", "threshold-above-1",
-            "threshold-0-with-model", "oracle-threshold-7"])
+            "threshold-0-with-model", "oracle-threshold-7", "oracle-with-model"])
     def test_a_bad_argument_is_rejected_before_any_matcher_call(self, override, message):
         inst = generate(SynthConfig(n_db=60, n_queries=20, dim=8, seed=570), k=5)
         provider = CountingProvider(TableProvider(inst.inliers))

@@ -240,6 +240,11 @@ class TestSubprocessProvider:
             SubprocessProvider(_py_cmd("print(1)"), timeout=0)
         with pytest.raises(ValidationError):
             SubprocessProvider(_py_cmd("print(1)"), timeout=5, max_concurrent=0)
+        # subprocess.run would raise a bare OverflowError on every call
+        for timeout in (float("inf"), float("nan")):
+            with pytest.raises(ValidationError, match=f"timeout must be positive and finite, "
+                                                      f"got {timeout}"):
+                SubprocessProvider(_py_cmd("print(1)"), timeout=timeout)
 
     def test_concurrency_stays_within_bound(self):
         provider = SubprocessProvider(_py_cmd("print(1)"), timeout=30, max_concurrent=3)

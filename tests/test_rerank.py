@@ -208,6 +208,16 @@ class TestAdaptiveRerank:
             GatePolicy(model=ORACLE_LIKE_MODEL, threshold=1.0)
 
 
+class TestRerankedShortlist:
+    def test_rejects_unequal_columns_naming_the_query(self):
+        for ids, counts, ranks in ((["a", "b", "c"], [4], [1, 2, 3]),
+                                   (["a"], [4, None], [1]),
+                                   (["a", "b"], [4, None], [2])):
+            with pytest.raises(ValidationError, match="query 'q7': "):
+                RerankedShortlist("q7", ids, counts, ranks, gate_fired=True)
+        assert RerankedShortlist("q7", ["a"], [None], [1], gate_fired=False).ids() == ["a"]
+
+
 class TestRerankedCsv:
     def test_format(self, tmp_path):
         sl = shortlist("q", ["a", "b", "c"])

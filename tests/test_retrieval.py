@@ -321,10 +321,12 @@ class TestExactness:
         queries = np.vstack([rows[0], unit_rows(rng, 3, 8), unit_rows(rng, 1, 8) * 1e39,
                              unit_rows(rng, 2, 8)])
         for block in (queries[:4], queries):
-            padded = sort_inputs(monkeypatch, lambda: assert_matches_reference(rows, block, 3))
-            kept = np.isfinite(padded[0]).sum(axis=1)  # search_all's one block
+            sorted_ = sort_inputs(monkeypatch, lambda: assert_matches_reference(rows, block, 3))
+            # search_all's one block: one sort per query, of its own candidates only
+            per_query = sorted_[:len(block)]
+            assert all(a.ndim == 1 and np.isfinite(a).all() for a in per_query)
+            kept = np.array([a.size for a in per_query])
             assert kept[0] == 9 and kept[0] > kept[1:4].max()
-            assert padded[0].shape == (len(block), kept.max())
         assert kept[4] == len(rows)
 
     def test_queries_within_a_float32_ulp_of_rows(self, rng):
@@ -400,6 +402,24 @@ class TestExactness:
         finally:
             tracemalloc.stop()
         assert peak < 20e6
+
+    def test_peak_memory_of_a_block_does_not_follow_its_widest_query(self, rng):
+        # a query past the screen's reach keeps all 50 000 rows; sorting the
+        # block's 31 other queries at that width would take another 2 × 12.8 MB
+        index = build_index(make_split(unit_rows(rng, 50_000, 16)))
+        screened = unit_rows(rng, BLOCK_ROWS, 16)
+        mixed = screened.copy()
+        mixed[0] *= 2.0 * _kernels.SCREEN_REACH
+        peaks = []
+        for rows in (screened, mixed):
+            queries = float64_queries(rows)
+            tracemalloc.start()
+            try:
+                search_all(index, queries, 10)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2 * 2**20
 
 
 class TestShortlistCsv:
