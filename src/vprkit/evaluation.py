@@ -186,12 +186,21 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
     ks = tuple(int(x) for x in ks)
     if min(ks) < 1:
         raise ValidationError(f"k must be >= 1, got {min(ks)}")
+    for name, values in (("tau", taus), ("K", ks)):
+        if len(set(values)) < len(values):
+            raise ValidationError(f"each {name} must be given once, got {values}")
     estimators = tuple(_as_estimator(e, "estimator") for e in estimators)
     if gate_estimator != ORACLE_GATE:
         gate_estimator = _as_estimator(gate_estimator, "gate estimator")
     elif gate_model is not None:
         raise ValidationError("the oracle gate reads no model, but a gate_model was given")
     _check_threshold(gate_threshold)
+    # a real gate's estimator is scored too, once, also when the report omits it
+    gate_scored = () if gate_estimator == ORACLE_GATE else (gate_estimator,)
+    # a shortlist of one has no PA score (k < 1 is search_all's error)
+    if Estimator.PA in (*estimators, *gate_scored) and min(k, len(db)) == 1:
+        raise ValidationError("PA score needs at least 2 candidates, but each shortlist holds "
+                              f"min(k, database size) = 1 (k = {k})")
 
     shortlists = search_all(build_index(db), queries, k)
     db_records = {r.id: r for r in db.records}
@@ -237,8 +246,6 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
     rerank_order = np.argsort(keys, axis=1, kind="stable")
     del keys
     known = _KnownCounts(provider, top1_outcomes)
-    # a real gate's estimator is scored here too, once, also when the report omits it
-    gate_scored = () if gate_estimator == ORACLE_GATE else (gate_estimator,)
     scores_by_estimator = {est: compute_uncertainties(shortlists, est, db_records=db_records,
                                                       provider=known, seed=seed)
                            for est in dict.fromkeys((*estimators, *gate_scored))}

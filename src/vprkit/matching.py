@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import (
+    MatcherError,
     MatcherExitError,
     MatcherOutputError,
     MatcherTimeout,
@@ -55,7 +56,8 @@ def load_inlier_table(path) -> InlierTable:
         header = next(reader, None)
         if header != INLIER_CSV_HEADER:
             raise ValidationError(f"{path}: unexpected inlier CSV header {header}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # physical: a quoted id may span lines
             if len(row) != 3:
                 raise ValidationError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
             qid, db_id, raw = row
@@ -141,15 +143,16 @@ class _KnownCounts(MatcherProvider):
 class SubprocessProvider(MatcherProvider):
     """Provider that shells out to an external matcher per pair.
 
-    The only provider that takes image paths, as a third ``get_inliers``
-    argument. The command template must contain {query} and {db}
-    placeholders, replaced by the two paths; it is split into arguments
-    once, here. The process must exit 0; stdout is read as bytes and its
-    last whitespace-delimited token is parsed as the non-negative inlier
-    count, so wrapper scripts are free to log before it, in any encoding. At
-    most ``max_concurrent`` invocations run at once. ``subprocess``,
-    ``shlex`` and ``threading`` are imported here, their only user, so
-    start-up skips them.
+    Asked by record id like every provider: the command template must
+    contain {query} and {db} placeholders, replaced by the pair's two ids;
+    it is split into arguments once, here. An optional third ``get_inliers``
+    argument, a (query, db) pair of paths, replaces the ids instead, for a
+    caller that maps ids to paths itself. The process must exit 0; stdout is
+    read as bytes and its last whitespace-delimited token is parsed as the
+    non-negative inlier count, so wrapper scripts are free to log before it,
+    in any encoding. At most ``max_concurrent`` invocations run at once.
+    ``subprocess``, ``shlex`` and ``threading`` are imported here, their
+    only user, so start-up skips them.
     """
 
     def __init__(self, command_template: str, timeout: float = 60.0, max_concurrent: int = 1):
@@ -175,13 +178,9 @@ class SubprocessProvider(MatcherProvider):
 
     def get_inliers(self, query_id: str, db_id: str,
                     image_paths: tuple[str, str] | None = None) -> int:
-        if image_paths is None:
-            raise ValidationError(
-                f"subprocess matcher needs image paths for ({query_id}, {db_id})"
-            )
         import subprocess
-        query_path, db_path = image_paths
-        # one pass per token, so a path that holds a placeholder is not substituted into
+        query_path, db_path = (query_id, db_id) if image_paths is None else image_paths
+        # one pass per token, so an id or path that holds a placeholder is not substituted into
         paths = {"{query}": query_path, "{db}": db_path}
         argv = [_PLACEHOLDER.sub(lambda m: paths[m.group()], t) for t in self._tokens]
         with self._slots:
@@ -189,6 +188,8 @@ class SubprocessProvider(MatcherProvider):
                 proc = self._run(argv)
             except subprocess.TimeoutExpired:
                 raise MatcherTimeout(query_id, db_id, f"timed out after {self.timeout}s") from None
+            except ValueError as exc:  # an argument no process takes: a NUL, a lone surrogate
+                raise MatcherError(query_id, db_id, f"cannot run: {exc}") from None
         if proc.returncode != 0:
             raise MatcherExitError(query_id, db_id, f"exit status {proc.returncode}")
         tokens = proc.stdout.split()  # bytes: a log line need not be valid UTF-8

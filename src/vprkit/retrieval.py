@@ -151,7 +151,8 @@ def read_shortlists_csv(path) -> list[Shortlist]:
         header = next(reader, None)
         if header != ["query_id", "rank", "db_id", "distance"]:
             raise ValidationError(f"{path}: unexpected shortlist CSV header {header}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # physical: a quoted id may span lines
             if len(row) != 4:
                 raise ValidationError(f"{path}: line {lineno}: expected 4 fields")
             qid, rank_s, db_id, dist_s = row

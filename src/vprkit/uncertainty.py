@@ -88,12 +88,21 @@ class LogisticModel:
 
     @classmethod
     def from_json(cls, text: str) -> "LogisticModel":
+        """The model in one JSON object whose four fields are JSON numbers."""
         try:
-            obj = json.loads(text)
-            return cls(w=float(obj["w"]), b=float(obj["b"]),
-                       mean=float(obj["mean"]), std=float(obj["std"]))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            # ints read as floats: no digit limit, and one too large for a float is inf
+            obj = json.loads(text, parse_int=float)
+        except (ValueError, RecursionError) as exc:  # the latter: nested too deep
             raise ValidationError(f"bad logistic model JSON: {exc}") from exc
+        names = ("w", "b", "mean", "std")
+        if not isinstance(obj, dict) or not obj.keys() >= set(names):
+            raise ValidationError("bad logistic model JSON: expected an object with fields "
+                                  "w, b, mean and std")
+        for name in names:
+            if type(obj[name]) is not float:  # not bool, not a numeric string
+                raise ValidationError(f"model field {name!r} must be a JSON number, "
+                                      f"got {type(obj[name]).__name__}")
+        return cls(**{name: obj[name] for name in names})
 
 
 def u_l2(shortlist: Shortlist) -> UncertaintyScore:
@@ -289,7 +298,8 @@ def read_scores_csv(path) -> list[UncertaintyScore]:
         header = next(reader, None)
         if header != ["query_id", "estimator", "u", "prob"]:
             raise ValidationError(f"{path}: unexpected scores CSV header {header}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # physical: a quoted id may span lines
             if len(row) != 4:
                 raise ValidationError(f"{path}: line {lineno}: expected 4 fields")
             qid, est, u_s, _prob = row

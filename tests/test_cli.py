@@ -241,6 +241,13 @@ class TestExitCodes:
                      "--model", str(model), "--out", str(tmp_path / "g.csv")])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {model}: bad logistic model JSON: ")
+        model.write_text("[1.0, 0.0, 0.0, 1.0]\n")  # the four values, but not an object
+        code = main(["gate", "--shortlists", str(shortlists),
+                     "--inliers", str(instance_dir / "inliers.csv"),
+                     "--model", str(model), "--out", str(tmp_path / "g.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: {model}: bad logistic model JSON: expected "
+                                           "an object with fields w, b, mean and std\n")
 
     def test_a_manifest_coordinate_beyond_float_range_is_one(self, instance_dir, tmp_path,
                                                                capsys):
@@ -544,9 +551,17 @@ def test_gate_prints_its_count_of_fired_queries(estimator, thinned, tmp_path, ca
     assert capsys.readouterr().out == f"gate fired for {fired}/120 queries; wrote {out}\n"
 
 
-@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("value, problem", [
+    ("NaN", "must be finite, got nan"), ("Infinity", "must be finite, got inf"),
+    ("-Infinity", "must be finite, got -inf"),
+    ("true", "must be a JSON number, got bool"),
+    ('"1.5"', "must be a JSON number, got str"),
+    ("1" + "0" * 400, "must be finite, got inf"),
+    ("-1" + "0" * 5000, "must be finite, got -inf"),
+], ids=["NaN", "Infinity", "-Infinity", "true", "numeric-string", "400-digit-int",
+        "5000-digit-int"])
 @pytest.mark.parametrize("name", ["w", "b", "mean", "std"])
-def test_gate_rejects_a_model_with_a_non_finite_field(name, value, tmp_path, capsys):
+def test_gate_rejects_a_model_with_a_non_finite_field(name, value, problem, tmp_path, capsys):
     write_shortlists_csv([Shortlist("q0", ["d0", "d1"], [0.5, 0.7])], tmp_path / "s.csv")
     (tmp_path / "inliers.csv").write_text("query_id,db_id,inliers\nq0,d0,3\nq0,d1,1\n")
     fields = {"w": "1.0", "b": "0.0", "mean": "0.0", "std": "1.0", name: value}
@@ -557,8 +572,7 @@ def test_gate_rejects_a_model_with_a_non_finite_field(name, value, tmp_path, cap
                  "--inliers", str(tmp_path / "inliers.csv"), "--model", str(model),
                  "--estimator", "l2", "--out", str(out)])
     assert code == 1
-    assert capsys.readouterr().err == \
-        f"error: {model}: model field '{name}' must be finite, got {float(value)}\n"
+    assert capsys.readouterr().err == f"error: {model}: model field '{name}' {problem}\n"
     assert not out.exists()
 
 

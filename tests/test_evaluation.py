@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import shlex
 import sys
 from dataclasses import asdict
 
@@ -17,7 +18,7 @@ from vprkit.evaluation import (
     pr_curve,
     write_pr_curves_csv,
 )
-from vprkit.matching import MatcherProvider, TableProvider
+from vprkit.matching import MatcherProvider, SubprocessProvider, TableProvider
 from vprkit.rerank import GatePolicy, adaptive_rerank, rerank
 from vprkit.retrieval import build_index, search_all
 from vprkit.synth import SynthConfig, generate
@@ -492,6 +493,32 @@ class TestRecordIdProvider:
             assert (err.value.query_id, err.value.db_id) == pair
 
 
+class TestBareSubprocessProvider:
+    def test_a_template_of_record_ids_serves_every_step(self, tmp_path):
+        # one count file per pair, so ``cat DIR/{query}/{db}`` is the matcher
+        inst = generate(SynthConfig(n_db=60, n_queries=30, dim=8, target_retrieval_r1=0.7,
+                                    matcher_quality=0.9, seed=563), k=5)
+        for (qid, db_id), count in inst.inliers.counts.items():
+            (tmp_path / qid).mkdir(exist_ok=True)
+            (tmp_path / qid / db_id).write_text(f"{count}\n")
+        provider = SubprocessProvider(f"cat {shlex.quote(str(tmp_path))}/{{query}}/{{db}}",
+                                      max_concurrent=2)
+        table = TableProvider(inst.inliers)
+        shortlists = search_all(build_index(inst.db), inst.queries, 5)
+        moved = next(sl for sl in shortlists if rerank(sl, table).db_ids != sl.db_ids)
+        assert rerank(moved, provider) == rerank(moved, table)
+        scores = compute_uncertainties(shortlists, Estimator.INLIER, provider=provider)
+        assert scores == compute_uncertainties(shortlists, Estimator.INLIER, provider=table)
+        policy = GatePolicy(model=LogisticModel(w=1.0, b=0.0, mean=-5.0, std=1.0))
+        outs = [adaptive_rerank(sl, provider, policy, u) for sl, u in zip(shortlists, scores)]
+        assert outs == [adaptive_rerank(sl, table, policy, u) for sl, u in zip(shortlists, scores)]
+        assert 0 < sum(out.gate_fired for out in outs) < len(outs)
+        want = evaluate_pipeline(inst.db, inst.queries, table, k=5).to_json()
+        for workers in (1, 2):
+            report = evaluate_pipeline(inst.db, inst.queries, provider, k=5, workers=workers)
+            assert report.to_json() == want
+
+
 class TestEvaluateErrors:
     def test_zero_in_ks_rejected(self):
         inst = generate(SynthConfig(n_db=60, n_queries=20, dim=8, seed=570), k=5)
@@ -517,9 +544,16 @@ class TestEvaluateErrors:
          "gate threshold must be strictly inside (0, 1), got 7"),
         (dict(gate_estimator="oracle", gate_model=LogisticModel(w=1.0, b=0.0, mean=0.0, std=1.0)),
          "the oracle gate reads no model, but a gate_model was given"),
+        (dict(k=1), "PA score needs at least 2 candidates, but each shortlist holds "
+                    "min(k, database size) = 1 (k = 1)"),
+        (dict(k=1, estimators=("l2",), gate_estimator="pa"),
+         "PA score needs at least 2 candidates"),
+        (dict(taus=(25, 100.0, 25.0)), "each tau must be given once, got (25.0, 100.0, 25.0)"),
+        (dict(ks=(1, 1, 5)), "each K must be given once, got (1, 1, 5)"),
     ], ids=["no-workers", "no-taus", "no-ks", "no-queries", "negative-tau", "nan-tau",
             "unknown-gate", "unknown-estimator", "unknown-after-a-member", "threshold-above-1",
-            "threshold-0-with-model", "oracle-threshold-7", "oracle-with-model"])
+            "threshold-0-with-model", "oracle-threshold-7", "oracle-with-model", "k-1-with-pa",
+            "k-1-with-a-pa-gate", "repeated-tau", "repeated-k"])
     def test_a_bad_argument_is_rejected_before_any_matcher_call(self, override, message):
         inst = generate(SynthConfig(n_db=60, n_queries=20, dim=8, seed=570), k=5)
         provider = CountingProvider(TableProvider(inst.inliers))

@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 
 from vprkit.errors import (
+    MatcherError,
     MatcherExitError,
     MatcherOutputError,
     MatcherTimeout,
@@ -57,6 +58,14 @@ class TestInlierTable:
         path = tmp_path / "i.csv"
         write_csv(path, [("q1", "d1", -3)])
         with pytest.raises(ValidationError, match="negative"):
+            load_inlier_table(path)
+
+    def test_a_bad_row_after_a_quoted_line_break_names_its_physical_line(self, tmp_path):
+        path = tmp_path / "i.csv"
+        write_inlier_table(inlier_table({("lf\nx", "d1"): 3}), path)
+        with open(path, "a", newline="") as fh:
+            fh.write("q1,d2,-1\r\n")
+        with pytest.raises(ValidationError, match="line 4: negative inlier count -1"):
             load_inlier_table(path)
 
     def test_malformed_row_reports_line(self, tmp_path):
@@ -190,6 +199,10 @@ class TestSubprocessProvider:
         paths = ("/imgs/{db}/q.jpg", r"/db/{query}\1/d.jpg")
         assert provider.get_inliers("q", "d", paths) == 4
         assert seen == [["matcher", paths[0], "--db=" + paths[1]]]
+        # so does a record id, which fills a placeholder when no paths are given
+        assert provider.get_inliers("q{db}", "{query}d") == 4
+        assert seen == [["matcher", paths[0], "--db=" + paths[1]],
+                        ["matcher", "q{db}", "--db={query}d"]]
 
     @pytest.mark.parametrize("stdout, reason", [
         (b"", "empty stdout"),
@@ -221,9 +234,24 @@ class TestSubprocessProvider:
             provider.get_inliers("q", "d", ("a", "b"))
 
     def test_missing_image_paths(self):
+        # without paths, the pair's record ids fill the placeholders
+        provider = SubprocessProvider("matcher /imgs/{query}.jpg {db}", timeout=30)
+        seen = []
+
+        def fake_run(argv):
+            seen.append(argv)
+            return subprocess.CompletedProcess(argv, 0, stdout=b"6\n", stderr=b"")
+
+        provider._run = fake_run
+        assert provider.get_inliers("q 1", "d9") == 6
+        assert seen == [["matcher", "/imgs/q 1.jpg", "d9"]]
+
+    @pytest.mark.parametrize("query_id", ["q\x00nul", "q\ud800"], ids=["nul", "lone-surrogate"])
+    def test_an_id_no_process_takes_is_a_matcher_error_naming_the_pair(self, query_id):
         provider = SubprocessProvider(_py_cmd("print(1)"), timeout=30)
-        with pytest.raises(ValidationError, match="image paths"):
-            provider.get_inliers("q", "d")
+        with pytest.raises(MatcherError, match="cannot run: ") as info:
+            provider.get_inliers(query_id, "d")
+        assert (info.value.query_id, info.value.db_id) == (query_id, "d")
 
     def test_template_must_have_placeholders(self):
         with pytest.raises(ValidationError, match="placeholder"):

@@ -486,6 +486,14 @@ class TestShortlistCsv:
         with pytest.raises(ValidationError, match=re.escape(f"{path}: line 3: {message}")):
             read_shortlists_csv(path)
 
+    def test_a_bad_row_after_a_quoted_line_break_names_its_physical_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_shortlists_csv([Shortlist("lf\nx", ["d0"], [0.5])], path)
+        with open(path, "a", newline="") as fh:
+            fh.write("q1,1,d1,nan\r\n")
+        with pytest.raises(ValidationError, match="line 4: rank/distance out of range"):
+            read_shortlists_csv(path)
+
     def test_infinite_distance_round_trips(self, tmp_path):
         # search writes inf for every row when a query's distances overflow
         path = tmp_path / "s.csv"

@@ -391,19 +391,31 @@ class TestModelJson:
             LogisticModel.from_json("{broken")
         with pytest.raises(ValidationError):
             LogisticModel.from_json('{"w": 1.0}')
+        with pytest.raises(ValidationError, match="expected an object with fields w, b, mean "
+                                                  "and std"):
+            LogisticModel.from_json("[1.0, 0.0, 0.0, 1.0]")
+        with pytest.raises(ValidationError, match="maximum recursion depth exceeded"):
+            LogisticModel.from_json("[" * 100_000)
 
     def test_std_must_be_positive(self):
         with pytest.raises(ValidationError):
             LogisticModel(w=1.0, b=0.0, mean=0.0, std=0.0)
 
-    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("value, problem", [
+        ("NaN", "must be finite"), ("Infinity", "must be finite"), ("-Infinity", "must be finite"),
+        ("true", "must be a JSON number, got bool"),
+        ('"1.5"', "must be a JSON number, got str"),
+        ("1" + "0" * 400, "must be finite, got inf"),
+        ("-1" + "0" * 5000, "must be finite, got -inf"),
+    ], ids=["NaN", "Infinity", "-Infinity", "true", "numeric-string", "400-digit-int",
+            "5000-digit-int"])
     @pytest.mark.parametrize("name", ["w", "b", "mean", "std"])
-    def test_a_non_finite_field_is_rejected_naming_it(self, name, value):
+    def test_a_non_finite_field_is_rejected_naming_it(self, name, value, problem):
         # json.loads reads NaN and ±Infinity; such a model would map every u
         # to nan or to a clipped constant, and so switch a gate off
         fields = {"w": "1.0", "b": "0.0", "mean": "0.0", "std": "1.0", name: value}
         text = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
-        with pytest.raises(ValidationError, match=f"model field '{name}' must be finite"):
+        with pytest.raises(ValidationError, match=re.escape(f"model field '{name}' {problem}")):
             LogisticModel.from_json(text)
 
 
@@ -436,6 +448,14 @@ class TestScoresCsv:
         path = tmp_path / "scores.csv"
         path.write_text(text)
         with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}")):
+            read_scores_csv(path)
+
+    def test_a_bad_row_after_a_quoted_line_break_names_its_physical_line(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        write_scores_csv([UncertaintyScore("lf\nx", Estimator.L2, 0.5)], path)
+        with open(path, "a", newline="") as fh:
+            fh.write("q1,l2,nan,\r\n")
+        with pytest.raises(ValidationError, match="line 4: non-finite u value 'nan'"):
             read_scores_csv(path)
 
     def test_repeated_score_is_rejected_naming_the_line(self, tmp_path):
