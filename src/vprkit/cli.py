@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .errors import ValidationError, VprError
-from .matching import TableProvider, _KnownCounts, load_inlier_table
+from .matching import TableProvider, load_inlier_table
 from .rerank import GatePolicy, adaptive_rerank, rerank, write_reranked_csv
 from .retrieval import build_index, read_shortlists_csv, search_all, write_shortlists_csv
 from .uncertainty import (
@@ -232,11 +232,6 @@ def cmd_gate(args) -> int:
     scores = _scores_for(args, shortlists, provider)
     # every gate is decided before --out is opened, so a bad score leaves no file
     fired = sum(policy.fires(s) for s in scores)
-    if policy.estimator is Estimator.INLIER:
-        # each inlier score is its top-1 count, negated; a fired gate reuses it
-        top1 = {(sl.query_id, sl.db_ids[0]): int(round(-s.u))
-                for sl, s in zip(shortlists, scores)}
-        provider = _KnownCounts(provider, top1)
     write_reranked_csv((adaptive_rerank(sl, provider, policy, s)
                         for sl, s in zip(shortlists, scores)), args.out)
     print(f"gate fired for {fired}/{len(shortlists)} queries; wrote {args.out}")

@@ -95,7 +95,7 @@ def read_manifest(path) -> list[GeoRecord]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
                 raise ValidationError(f"{path}: malformed JSON on line {lineno}: {exc}") from exc
             if not isinstance(obj, dict) or not {"id", "lat", "lon"} <= obj.keys():
                 raise ValidationError(f"{path}: line {lineno} missing id/lat/lon fields")

@@ -19,12 +19,13 @@ import numpy as np
 
 from .dataset import DistanceThreshold, Split, haversine_many
 from .errors import ValidationError, VprError
-from .matching import MatcherProvider, _KnownCounts
+from .matching import MatcherProvider
 from .rerank import MISSING_KEY, GatePolicy, _check_threshold, inlier_keys
-from .retrieval import BLOCK_ROWS, build_index, search_all
+from .retrieval import BLOCK_ROWS, _check_k, build_index, search_all
 from .uncertainty import (
     Estimator,
     LogisticModel,
+    UncertaintyScore,
     compute_uncertainties,
     fit_logistic,
 )
@@ -169,12 +170,12 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
     reads it permuted, and a fired query takes its re-ranked row of hits.
     Re-ranking writes each shortlist's ``inlier_keys`` row, which asks
     ``provider.get_inliers`` for every pair, into one queries x positions key
-    matrix and orders all queries with one stable argsort. Every estimator
-    goes through ``compute_uncertainties`` with ``provider`` wrapped in a
-    ``_KnownCounts`` that holds each top-1 outcome where re-ranking fetched
-    it, so each inlier pair is fetched once. A top-1 pair whose fetch failed
-    is held as its error, which ``u_inlier`` raises, so the provider's own
-    error names the pair.
+    matrix and orders all queries with one stable argsort. The inlier
+    estimator reads each query's top-1 count from column 0 of that matrix,
+    so each pair is asked once; the others go through
+    ``compute_uncertainties``. Of a failed top-1 fetch only its error is
+    kept; when the inlier estimator is scored, the first one in query order
+    is raised, so the provider's own error names the pair.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
@@ -183,9 +184,7 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
     if len(queries) == 0:
         raise ValidationError("recall is undefined over zero queries")
     taus = tuple(DistanceThreshold(float(t)).tau for t in taus)
-    ks = tuple(int(x) for x in ks)
-    if min(ks) < 1:
-        raise ValidationError(f"k must be >= 1, got {min(ks)}")
+    k, ks = _check_k(k), tuple(map(_check_k, ks))
     for name, values in (("tau", taus), ("K", ks)):
         if len(set(values)) < len(values):
             raise ValidationError(f"each {name} must be given once, got {values}")
@@ -223,18 +222,18 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
 
     # keys[i, j]: the sort key of candidate j of query i (rerank's rule)
     keys = np.empty(correct[taus[0]].shape, dtype=np.int64)
-    top1_outcomes: dict[tuple[str, str], int | VprError] = {}
+    top1_errors: dict[int, VprError] = {}
 
     def _fetch(i: int) -> None:
-        """Fill row i of keys and query i's top-1 outcome; a pool thread writes only its own."""
+        """Fill row i of keys and query i's top-1 error; a pool thread writes only its own."""
         sl = shortlists[i]
         try:
-            key_row, diagnostics = inlier_keys(sl, provider)
+            key_row, diagnostics = inlier_keys(sl.query_id, sl.db_ids, provider)
         except ValidationError as exc:
             raise ValidationError(f"query {sl.query_id!r}: {exc}") from exc
         keys[i] = key_row
-        top1_outcomes[sl.query_id, sl.db_ids[0]] = (  # a failed top-1 fetch is the first
-            diagnostics[0][1] if key_row[0] == MISSING_KEY else -key_row[0])
+        if key_row[0] == MISSING_KEY:  # a failed top-1 fetch is the first
+            top1_errors[i] = diagnostics[0][1]
 
     if workers == 1:  # serial, so the default path starts no pool thread
         for i in range(n_q):
@@ -244,12 +243,17 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(_fetch, range(n_q)))
     rerank_order = np.argsort(keys, axis=1, kind="stable")
-    del keys
-    known = _KnownCounts(provider, top1_outcomes)
-    scores_by_estimator = {est: compute_uncertainties(shortlists, est, db_records=db_records,
-                                                      provider=known, seed=seed)
-                           for est in dict.fromkeys((*estimators, *gate_scored))}
-    del shortlists, db_records, known, top1_outcomes  # the report reads none of them
+    scored = dict.fromkeys((*estimators, *gate_scored))
+    if Estimator.INLIER in scored and top1_errors:
+        raise top1_errors[min(top1_errors)]
+    # u_inlier's -float(count), bit for bit: a count of 0 scores -0.0
+    inlier_scores = [UncertaintyScore(sl.query_id, Estimator.INLIER, -float(-key))
+                     for sl, key in zip(shortlists, keys[:, 0].tolist())]
+    del keys, top1_errors
+    scores_by_estimator = {est: inlier_scores if est is Estimator.INLIER else
+                           compute_uncertainties(shortlists, est, db_records=db_records, seed=seed)
+                           for est in scored}
+    del shortlists, db_records, inlier_scores  # the report reads none of them
 
     report = EvalReport(n_queries=n_q, k=k, ks=ks, taus=taus, seed=seed)
 

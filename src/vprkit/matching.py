@@ -21,7 +21,6 @@ from .errors import (
     MatcherTimeout,
     MissingPairError,
     ValidationError,
-    VprError,
 )
 
 if TYPE_CHECKING:
@@ -118,26 +117,6 @@ class TableProvider(MatcherProvider):
             pass
         # raised outside the handler, so an error that rerank keeps holds no KeyError
         raise MissingPairError(query_id, db_id)
-
-
-class _KnownCounts(MatcherProvider):
-    """``provider``, except that the pairs in ``known`` are not fetched again.
-
-    A known outcome is a count or the error its fetch raised, raised again.
-    """
-
-    def __init__(self, provider: MatcherProvider,
-                 known: dict[tuple[str, str], int | VprError]):
-        self.provider = provider
-        self.known = known
-
-    def get_inliers(self, query_id: str, db_id: str) -> int:
-        count = self.known.get((query_id, db_id))
-        if count is None:
-            return self.provider.get_inliers(query_id, db_id)
-        if isinstance(count, VprError):
-            raise count
-        return count
 
 
 class SubprocessProvider(MatcherProvider):

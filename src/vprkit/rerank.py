@@ -75,30 +75,30 @@ class GatePolicy:
 MISSING_KEY = 1  # the sort key of a pair with no count; counts are >= 0, so it sorts last
 
 
-def inlier_keys(shortlist: Shortlist, provider: MatcherProvider
+def inlier_keys(query_id: str, db_ids: list[str], provider: MatcherProvider
                 ) -> tuple[list[int], list[tuple[str, MissingPairError | MatcherError]]]:
-    """Fetch every pair of ``shortlist`` once, in shortlist order.
+    """Fetch each (query_id, db_id) pair once, in ``db_ids`` order.
 
     Returns the sort key of each pair, -count or ``MISSING_KEY`` where its
     fetch raised ``MissingPairError`` or ``MatcherError``, and the
     (db_id, error) of each failed fetch. A stable ascending sort of the keys
     is the re-ranking order. Any other error, such as a ``ValidationError``,
-    propagates.
+    propagates. ``evaluate_pipeline`` reads its inlier scores from the top-1
+    keys; ``adaptive_rerank`` leaves out the top-1 pair an inlier score holds.
     """
     keys: list[int] = []
     diagnostics: list[tuple[str, MissingPairError | MatcherError]] = []
-    for db_id in shortlist.db_ids:
+    for db_id in db_ids:
         try:
-            keys.append(-provider.get_inliers(shortlist.query_id, db_id))
+            keys.append(-provider.get_inliers(query_id, db_id))
         except (MissingPairError, MatcherError) as exc:
             keys.append(MISSING_KEY)
             diagnostics.append((db_id, exc.with_traceback(None)))  # kept: drop its frames
     return keys, diagnostics
 
 
-def rerank(shortlist: Shortlist, provider: MatcherProvider) -> RerankedShortlist:
-    """Sort shortlist candidates by inlier count, descending."""
-    keys, diagnostics = inlier_keys(shortlist, provider)
+def _sorted(shortlist: Shortlist, keys: list[int],
+            diagnostics: list[tuple[str, MissingPairError | MatcherError]]) -> RerankedShortlist:
     order = sorted(range(len(keys)), key=keys.__getitem__)
     return RerankedShortlist(query_id=shortlist.query_id,
                              db_ids=[shortlist.db_ids[i] for i in order],
@@ -107,13 +107,20 @@ def rerank(shortlist: Shortlist, provider: MatcherProvider) -> RerankedShortlist
                              gate_fired=True, diagnostics=diagnostics)
 
 
+def rerank(shortlist: Shortlist, provider: MatcherProvider) -> RerankedShortlist:
+    """Sort shortlist candidates by inlier count, descending."""
+    return _sorted(shortlist, *inlier_keys(shortlist.query_id, shortlist.db_ids, provider))
+
+
 def adaptive_rerank(shortlist: Shortlist, provider: MatcherProvider, policy: GatePolicy,
                     u: UncertaintyScore) -> RerankedShortlist:
     """Re-rank only when the calibrated wrong-localization probability is high.
 
-    When the gate stays closed no matcher call is made; the only inlier count
-    carried over is the top-1 pair's, and only when the gating uncertainty
-    was itself inlier-based (that count equals -u by definition).
+    A closed gate makes no matcher call. An inlier u is the top-1 count,
+    negated, so both paths read that count from u: a closed gate carries it
+    over, and a fired one asks ``provider`` for positions 2..k only. An
+    inlier u that is not a whole number <= 0 raises ``ValidationError``
+    naming the query, before any matcher call.
     """
     if u.query_id != shortlist.query_id:
         raise ValidationError(
@@ -123,15 +130,22 @@ def adaptive_rerank(shortlist: Shortlist, provider: MatcherProvider, policy: Gat
         raise ValidationError(
             f"gate expects {policy.estimator.value!r} uncertainty, got {u.estimator.value!r}"
         )
-
-    if policy.fires(u):
-        return rerank(shortlist, provider)
-
-    inliers: list[int | None] = [None] * len(shortlist)
+    fired = policy.fires(u)  # a non-finite u is rejected here
+    top1: list[int] = []  # [count] when u holds the top-1 count
     if policy.estimator is Estimator.INLIER:
-        inliers[0] = int(round(-u.u))
+        count = -float(u.u)
+        if not (count >= 0 and count.is_integer()):
+            raise ValidationError(f"query {u.query_id!r}: an inlier uncertainty is a negated "
+                                  f"count, a whole number <= 0, got {u.u!r}")
+        top1 = [int(count)]
+
+    if fired:
+        keys, diagnostics = inlier_keys(shortlist.query_id, shortlist.db_ids[len(top1):],
+                                        provider)
+        return _sorted(shortlist, [-n for n in top1] + keys, diagnostics)
     return RerankedShortlist(query_id=shortlist.query_id, db_ids=list(shortlist.db_ids),
-                             inliers=inliers, original_ranks=list(range(1, len(shortlist) + 1)),
+                             inliers=top1 + [None] * (len(shortlist) - len(top1)),
+                             original_ranks=list(range(1, len(shortlist) + 1)),
                              gate_fired=False)
 
 

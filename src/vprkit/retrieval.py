@@ -18,6 +18,7 @@ Every shortlist holds at least one candidate.
 from __future__ import annotations
 
 import csv
+import operator
 from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -82,13 +83,24 @@ def build_index(split: Split) -> Index:
     return Index(split)
 
 
-def _check(index: Index, k: int, query_shape: tuple[int, ...]) -> None:
-    """Reject k < 1 and a query shape other than (index.dim,)."""
+def _check_k(k) -> int:
+    """``k`` as an int; a value ``operator.index`` refuses, or one below 1, is rejected."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValidationError(f"k must be an integer, got {k!r}") from None
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
+    return k
+
+
+def _check(index: Index, k, query_shape: tuple[int, ...]) -> int:
+    """``k`` as an int; rejects a bad k and a query shape other than (index.dim,)."""
+    k = _check_k(k)
     if query_shape != (index.dim,):
         raise ValidationError(f"query dimension mismatch: query shape {query_shape}, "
                               f"index dim {index.dim}")
+    return k
 
 
 def _search_rows(index: Index, queries: np.ndarray, query_ids: list[str],
@@ -120,13 +132,13 @@ def search(index: Index, query_descriptor: np.ndarray, k: int, query_id: str = "
     """Exact top-k search; returns min(k, db size) candidates."""
     import numpy as np
     q = np.asarray(query_descriptor, dtype=np.float64)
-    _check(index, k, q.shape)
+    k = _check(index, k, q.shape)
     return _search_rows(index, q[None, :], [query_id], k)[0]
 
 
 def search_all(index: Index, queries: Split, k: int) -> list[Shortlist]:
     """Shortlists for every record of a query split, in split order."""
-    _check(index, k, (queries.blob.dim,))
+    k = _check(index, k, (queries.blob.dim,))
     return _search_rows(index, queries.blob.rows, [r.id for r in queries.records], k)
 
 

@@ -264,6 +264,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {manifest}: line 3: lat/lon out of range\n"
         assert not (tmp_path / "s.csv").exists()
 
+    def test_a_manifest_line_nested_too_deep_is_one(self, instance_dir, tmp_path, capsys):
+        manifest = tmp_path / "queries.jsonl"
+        lines = (instance_dir / "queries.jsonl").read_text().splitlines()
+        lines[1] = "[" * 100000
+        manifest.write_text("\n".join(lines) + "\n")
+        code = main(["retrieve", "--db-manifest", str(instance_dir / "db.jsonl"),
+                     "--db-blob", str(instance_dir / "db.vprd"),
+                     "--query-manifest", str(manifest),
+                     "--query-blob", str(instance_dir / "queries.vprd"),
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {manifest}: malformed JSON on line 2: ")
+        assert not (tmp_path / "s.csv").exists()
+
 
 def test_gate_loads_inlier_table_once(instance_dir, tmp_path, monkeypatch):
     shortlists = tmp_path / "s.csv"

@@ -73,6 +73,13 @@ class TestLoadSplit:
         with pytest.raises(ValidationError, match="line 2"):
             load_split(manifest, tmp_path / "unused.vprd")
 
+    def test_a_line_nested_past_the_recursion_limit_is_malformed_json(self, tmp_path):
+        manifest = tmp_path / "m.jsonl"
+        write_manifest_file(manifest, [("a", 0.0, 0.0), "[" * 100000])
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{manifest}: malformed JSON on line 2: ")):
+            read_manifest(manifest)
+
     def test_missing_field_reports_number(self, tmp_path):
         manifest = tmp_path / "m.jsonl"
         write_manifest_file(manifest, [("a", 0.0, 0.0), {"id": "b", "lat": 1.0}])

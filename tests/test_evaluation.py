@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 import re
 import shlex
 import sys
@@ -8,6 +9,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from vprkit import evaluation
 from vprkit.dataset import DistanceThreshold, GeoRecord
 from vprkit.errors import MatcherTimeout, MissingPairError, ValidationError
 from vprkit.evaluation import (
@@ -22,7 +24,7 @@ from vprkit.matching import MatcherProvider, SubprocessProvider, TableProvider
 from vprkit.rerank import GatePolicy, adaptive_rerank, rerank
 from vprkit.retrieval import build_index, search_all
 from vprkit.synth import SynthConfig, generate
-from vprkit.uncertainty import Estimator, LogisticModel, fit_logistic
+from vprkit.uncertainty import Estimator, LogisticModel, fit_logistic, u_inlier
 
 from conftest import by_id, inlier_table, make_split, recall_at_k
 
@@ -332,14 +334,16 @@ class TestEvaluatePipeline:
 
 
 class CountingProvider(MatcherProvider):
-    """Counts every get_inliers call before delegating it."""
+    """Counts every get_inliers call, and the calls per pair, before delegating it."""
 
     def __init__(self, inner: MatcherProvider):
         self.inner = inner
         self.calls = 0
+        self.asked = Counter()
 
     def get_inliers(self, query_id, db_id):
         self.calls += 1
+        self.asked[query_id, db_id] += 1
         return self.inner.get_inliers(query_id, db_id)
 
 
@@ -428,6 +432,32 @@ class TestEvaluateMatcherCost:
             fired += out.gate_fired
         assert fired == report.gate_fired
 
+
+    def test_the_library_inlier_gate_asks_each_pair_once(self):
+        # u_inlier asks each top-1 pair; a fired adaptive_rerank asks only positions 2..k
+        k = 10
+        inst, shortlists, _, policy = gated_instance(k)
+        provider = CountingProvider(TableProvider(inst.inliers))
+        scores = [u_inlier(sl.query_id, sl.db_ids[0], provider) for sl in shortlists]
+        outs = [adaptive_rerank(sl, provider, policy, u) for sl, u in zip(shortlists, scores)]
+        fired = sum(out.gate_fired for out in outs)
+        assert 0 < fired < len(shortlists)
+        assert provider.calls == len(provider.asked) == len(shortlists) + (k - 1) * fired
+        table = TableProvider(inst.inliers)
+        for sl, out in zip(shortlists, outs):
+            assert out.ids() == (rerank(sl, table).ids() if out.gate_fired else sl.ids())
+
+    def test_inlier_scores_are_u_inlier_bit_for_bit(self, monkeypatch):
+        inst, shortlists, scores, _ = gated_instance()
+        assert any(s.u == 0.0 for s in scores)  # a count of 0 scores -0.0
+        fitted = []
+        fit = evaluation.fit_logistic
+        monkeypatch.setattr(evaluation, "fit_logistic",
+                            lambda samples: fitted.append(samples) or fit(samples))
+        for workers in (1, 2):
+            evaluate_pipeline(inst.db, inst.queries, TableProvider(inst.inliers), k=10,
+                              estimators=(), workers=workers)
+            assert [u.hex() for u, _ in fitted.pop()] == [s.u.hex() for s in scores]
 
     def test_a_gate_estimator_not_scored_for_the_report_reads_the_fetched_top1(self):
         k = 10
@@ -550,10 +580,15 @@ class TestEvaluateErrors:
          "PA score needs at least 2 candidates"),
         (dict(taus=(25, 100.0, 25.0)), "each tau must be given once, got (25.0, 100.0, 25.0)"),
         (dict(ks=(1, 1, 5)), "each K must be given once, got (1, 1, 5)"),
+        (dict(k=2.5), "k must be an integer, got 2.5"),
+        (dict(k=5.0), "k must be an integer, got 5.0"),
+        (dict(ks=(1, 1.7)), "k must be an integer, got 1.7"),
+        (dict(ks=(1, "5")), "k must be an integer, got '5'"),
     ], ids=["no-workers", "no-taus", "no-ks", "no-queries", "negative-tau", "nan-tau",
             "unknown-gate", "unknown-estimator", "unknown-after-a-member", "threshold-above-1",
             "threshold-0-with-model", "oracle-threshold-7", "oracle-with-model", "k-1-with-pa",
-            "k-1-with-a-pa-gate", "repeated-tau", "repeated-k"])
+            "k-1-with-a-pa-gate", "repeated-tau", "repeated-k", "fractional-k", "float-k",
+            "fractional-K", "string-K"])
     def test_a_bad_argument_is_rejected_before_any_matcher_call(self, override, message):
         inst = generate(SynthConfig(n_db=60, n_queries=20, dim=8, seed=570), k=5)
         provider = CountingProvider(TableProvider(inst.inliers))
@@ -574,14 +609,16 @@ class TestEvaluateErrors:
 
     def test_missing_top1_pair_names_the_pair(self):
         inst = generate(SynthConfig(n_db=60, n_queries=20, dim=8, seed=571), k=5)
-        sl = search_all(build_index(inst.db), inst.queries, 5)[3]
-        pair = (sl.query_id, sl.ids()[0])
-        counts = {key: n for key, n in inst.inliers.counts.items() if key != pair}
-        with pytest.raises(MissingPairError) as err:
-            evaluate_pipeline(inst.db, inst.queries, TableProvider(inlier_table(counts)),
-                              k=5, ks=(1,), gate_estimator="oracle")
-        assert (err.value.query_id, err.value.db_id) == pair
-        assert f"({pair[0]}, {pair[1]})" in str(err.value)
+        shortlists = search_all(build_index(inst.db), inst.queries, 5)
+        pair = (shortlists[3].query_id, shortlists[3].ids()[0])
+        later = (shortlists[7].query_id, shortlists[7].ids()[0])  # the first failure is raised
+        counts = {key: n for key, n in inst.inliers.counts.items() if key not in (pair, later)}
+        for workers in (1, 2):
+            with pytest.raises(MissingPairError) as err:
+                evaluate_pipeline(inst.db, inst.queries, TableProvider(inlier_table(counts)),
+                                  k=5, ks=(1,), gate_estimator="oracle", workers=workers)
+            assert (err.value.query_id, err.value.db_id) == pair
+            assert f"({pair[0]}, {pair[1]})" in str(err.value)
 
     def test_top1_matcher_timeout_names_the_pair(self):
         inst = generate(SynthConfig(n_db=60, n_queries=20, dim=8, seed=571), k=5)

@@ -12,7 +12,7 @@ from vprkit.rerank import (
     write_reranked_csv,
 )
 from vprkit.retrieval import Shortlist
-from vprkit.uncertainty import Estimator, LogisticModel, UncertaintyScore
+from vprkit.uncertainty import Estimator, LogisticModel, UncertaintyScore, u_inlier
 
 from conftest import AWKWARD_IDS, csv_bytes, inlier_table
 
@@ -38,6 +38,10 @@ class CountingProvider(MatcherProvider):
 
 # gate model mapping u=0 -> p ~ 0.007 and u=1 -> p ~ 0.993
 ORACLE_LIKE_MODEL = LogisticModel(w=10.0, b=-5.0, mean=0.0, std=1.0)
+# gate model for inlier scores u = -count: below 10 inliers p -> 1, above it p -> 0
+FEW_INLIERS_WRONG = LogisticModel(w=10.0, b=0.0, mean=-10.0, std=1.0)
+# gate model whose every p on u <= 0 is clipped to 1 - 1e-12
+ALL_WRONG = LogisticModel(w=-10.0, b=50.0, mean=0.0, std=1.0)
 
 
 def oracle_stable_sort(entries):
@@ -120,8 +124,8 @@ class TestAdaptiveRerank:
     def test_gate_fires_on_high_probability(self):
         sl = shortlist("q", ["correct", "wrong"])
         provider = table_provider("q", {"correct": 7, "wrong": 26})
-        policy = GatePolicy(model=ORACLE_LIKE_MODEL, threshold=0.5)
-        u = UncertaintyScore("q", Estimator.INLIER, 1.0)
+        policy = GatePolicy(model=FEW_INLIERS_WRONG, threshold=0.5)
+        u = u_inlier("q", "correct", provider)
         out = adaptive_rerank(sl, provider, policy, u)
         assert out.gate_fired
         assert out.ids() == rerank(sl, provider).ids()
@@ -136,6 +140,8 @@ class TestAdaptiveRerank:
         assert out.ids() == ["a", "b", "c"]
         assert provider.calls == 0  # gating must stay lazy
         assert out.inliers == [30, None, None]  # top-1 count already paid for by u
+        u = UncertaintyScore("q", Estimator.INLIER, -30)  # an int u reads the same
+        assert adaptive_rerank(sl, provider, policy, u).inliers == [30, None, None]
 
     def test_gate_closed_without_inlier_estimator_has_no_counts(self):
         sl = shortlist("q", ["a", "b"])
@@ -160,26 +166,50 @@ class TestAdaptiveRerank:
             adaptive_rerank(sl, table_provider("q", {}), policy, u)
 
     def test_threshold_near_one_never_fires(self, rng):
-        provider = table_provider("q", {"a": 50, "b": 2})
+        # probabilities are clipped to <= 1 - 1e-12, so a model that calls
+        # every query wrong still never fires at that threshold
         sl = shortlist("q", ["a", "b"])
-        policy = GatePolicy(model=ORACLE_LIKE_MODEL, threshold=1.0 - 1e-12)
-        for u_val in (-1000.0, 0.0, 1000.0):
-            out = adaptive_rerank(sl, provider, policy,
-                                  UncertaintyScore("q", Estimator.INLIER, u_val))
+        policy = GatePolicy(model=ALL_WRONG, threshold=1.0 - 1e-12)
+        for top1 in (1000, 0, 50):
+            provider = table_provider("q", {"a": top1, "b": 2})
+            out = adaptive_rerank(sl, provider, policy, u_inlier("q", "a", provider))
             assert not out.gate_fired
             assert out.ids() == sl.ids()
 
     def test_threshold_near_zero_always_fires(self):
         # probabilities are clipped to >= 1e-12, so anything below that floor
         # expresses "always re-rank" under the strict > comparison
-        provider = table_provider("q", {"a": 2, "b": 50})
         sl = shortlist("q", ["a", "b"])
         policy = GatePolicy(model=ORACLE_LIKE_MODEL, threshold=1e-13)
-        for u_val in (-1000.0, 0.0, 1000.0):
-            out = adaptive_rerank(sl, provider, policy,
-                                  UncertaintyScore("q", Estimator.INLIER, u_val))
+        for top1 in (1000, 0, 2):
+            provider = table_provider("q", {"a": top1, "b": 50})
+            out = adaptive_rerank(sl, provider, policy, u_inlier("q", "a", provider))
             assert out.gate_fired
             assert out.ids() == rerank(sl, provider).ids()
+
+    @pytest.mark.parametrize("u_val", [1.0, 1000.0, -2.5])
+    @pytest.mark.parametrize("threshold", [1e-13, 0.5, 1.0 - 1e-12])
+    def test_an_inlier_u_that_is_not_a_negated_count_is_rejected(self, u_val, threshold):
+        provider = CountingProvider(table_provider("q7", {"a": 2, "b": 50}))
+        policy = GatePolicy(model=ORACLE_LIKE_MODEL, threshold=threshold)
+        u = UncertaintyScore("q7", Estimator.INLIER, u_val)
+        with pytest.raises(ValidationError, match=f"^query 'q7': .*got {u_val!r}$"):
+            adaptive_rerank(shortlist("q7", ["a", "b"]), provider, policy, u)
+        assert provider.calls == 0
+
+    def test_a_fired_inlier_gate_asks_only_positions_2_to_k(self):
+        sl = shortlist("q", ["a", "b", "c", "d"])
+        provider = CountingProvider(table_provider("q", {"a": 3, "b": 9, "c": 1}))
+        u = u_inlier("q", "a", provider)
+        provider.calls = 0
+        for estimator, calls in ((Estimator.INLIER, 3), (Estimator.L2, 4)):
+            policy = GatePolicy(model=ORACLE_LIKE_MODEL, threshold=1e-13, estimator=estimator)
+            score = u if estimator is Estimator.INLIER else UncertaintyScore("q", estimator, 0.5)
+            out = adaptive_rerank(sl, provider, policy, score)
+            assert provider.calls == calls
+            provider.calls = 0
+            assert out.ids() == ["b", "a", "c", "d"] and out.inliers == [9, 3, 1, None]
+            assert [db_id for db_id, _ in out.diagnostics] == ["d"]
 
     def test_fired_set_shrinks_as_threshold_grows(self, rng):
         provider = table_provider("q", {})

@@ -119,6 +119,16 @@ class TestSearch:
         with pytest.raises(ValidationError):
             search(build_index(split), unit_rows(rng, 1, 8)[0], 0)
 
+    @pytest.mark.parametrize("k", [2.5, 3.0, "3", None, np.float64(3.0)])
+    def test_k_must_be_an_integer(self, rng, k):
+        split = make_split(unit_rows(rng, 5, 8))
+        index = build_index(split)
+        with pytest.raises(ValidationError, match=re.escape(f"k must be an integer, got {k!r}")):
+            search(index, unit_rows(rng, 1, 8)[0], k)
+        with pytest.raises(ValidationError, match=re.escape(f"k must be an integer, got {k!r}")):
+            search_all(index, split, k)
+        assert [len(sl) for sl in search_all(index, split, np.int64(3))] == [3] * 5
+
     def test_dimension_mismatch(self, rng):
         split = make_split(unit_rows(rng, 5, 8))
         with pytest.raises(ValidationError, match="dimension"):
