@@ -3,9 +3,12 @@
 Validation problems (bad file contents, bad arguments, inconsistent data)
 raise ValidationError; plain I/O failures surface as the builtin OSError
 family. The CLI maps the former to exit code 1 and the latter to 2.
+``_check_int`` is the one rule for an integer argument or field.
 """
 
 from __future__ import annotations
+
+import operator
 
 
 class VprError(Exception):
@@ -48,3 +51,15 @@ class MatcherExitError(MatcherError):
 
 class MatcherOutputError(MatcherError):
     """The matcher subprocess produced stdout we cannot parse."""
+
+
+def _check_int(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int; one that ``operator.index`` refuses, or one below ``minimum``,
+    raises ValidationError naming ``name``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+    return value

@@ -5,23 +5,24 @@ correct candidate (within tau meters) among their top K. The PR framework
 classifies queries as correctly vs incorrectly localized by their top-1
 retrieval result, ranking them by confidence (negated uncertainty); AUPRC
 uses average-precision-style step integration, which avoids the optimistic
-bias of trapezoidal interpolation in PR space.
+bias of trapezoidal interpolation in PR space. The PR curves CSV is written
+in the format that ``_csvio`` owns.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from ._csvio import _CsvCells
 from .dataset import DistanceThreshold, Split, haversine_many
-from .errors import ValidationError, VprError
+from .errors import ValidationError, VprError, _check_int
 from .matching import MatcherProvider
 from .rerank import MISSING_KEY, GatePolicy, _check_threshold, inlier_keys
-from .retrieval import BLOCK_ROWS, _check_k, build_index, search_all
+from .retrieval import BLOCK_ROWS, build_index, search_all
 from .uncertainty import (
     Estimator,
     LogisticModel,
@@ -138,12 +139,12 @@ def write_pr_curves_csv(report: EvalReport, path) -> None:
         curves = report.pr_curves[key]
     except KeyError:
         raise ValidationError(f"report has no PR curves at tau of {key}") from None
+    cells = _CsvCells()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["estimator", "recall", "precision"])
+        fh.write("estimator,recall,precision\r\n")
         for est, points in curves.items():
-            for recall, precision in points:
-                writer.writerow([est, repr(recall), repr(precision)])
+            e = cells[est]
+            fh.write("".join([f"{e},{r!r},{p!r}\r\n" for r, p in points]))
 
 
 def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
@@ -177,14 +178,13 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
     kept; when the inlier estimator is scored, the first one in query order
     is raised, so the provider's own error names the pair.
     """
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
+    workers = _check_int(workers, "workers", 1)
     if len(taus) == 0 or len(ks) == 0:
         raise ValidationError("need at least one tau and one K")
     if len(queries) == 0:
         raise ValidationError("recall is undefined over zero queries")
     taus = tuple(DistanceThreshold(float(t)).tau for t in taus)
-    k, ks = _check_k(k), tuple(map(_check_k, ks))
+    k, ks = _check_int(k, "k", 1), tuple(_check_int(kk, "k", 1) for kk in ks)
     for name, values in (("tau", taus), ("K", ks)):
         if len(set(values)) < len(values):
             raise ValidationError(f"each {name} must be given once, got {values}")

@@ -4,16 +4,16 @@ The matcher itself (keypoints + RANSAC) always runs outside this package.
 Counts either come precomputed from a CSV table or from an external command
 invoked per pair. Absent pairs are a distinct outcome (MissingPairError) and
 never degrade to zero: zero inliers is itself a meaningful measurement.
+The inlier CSV is read and written in the format that ``_csvio`` owns.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from ._csvio import _CsvCells, line_error, read_rows, width_error
 from .errors import (
     MatcherError,
     MatcherExitError,
@@ -21,6 +21,7 @@ from .errors import (
     MatcherTimeout,
     MissingPairError,
     ValidationError,
+    _check_int,
 )
 
 if TYPE_CHECKING:
@@ -50,41 +51,23 @@ def load_inlier_table(path) -> InlierTable:
     rows: dict[str, dict[str, int]] = {}
     db_names: dict[str, str] = {}  # one string object per distinct db id
     last_qid, query_row = None, {}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != INLIER_CSV_HEADER:
-            raise ValidationError(f"{path}: unexpected inlier CSV header {header}")
+    with read_rows(path, INLIER_CSV_HEADER, "inlier") as reader:
         for row in reader:
-            lineno = reader.line_num  # physical: a quoted id may span lines
             if len(row) != 3:
-                raise ValidationError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
+                raise width_error(path, reader, row, 3)
             qid, db_id, raw = row
             try:
                 count = int(raw)
             except ValueError:
-                raise ValidationError(
-                    f"{path}: line {lineno}: inlier count {raw!r} is not an integer"
-                ) from None
+                raise line_error(path, reader, f"inlier count {raw!r} is not an integer") from None
             if count < 0:
-                raise ValidationError(f"{path}: line {lineno}: negative inlier count {count}")
+                raise line_error(path, reader, f"negative inlier count {count}")
             if qid != last_qid:
                 last_qid, query_row = qid, rows.setdefault(qid, {})
             if db_id in query_row:
-                raise ValidationError(f"{path}: line {lineno}: duplicate pair ({qid}, {db_id})")
+                raise line_error(path, reader, f"duplicate pair ({qid}, {db_id})")
             query_row[db_names.setdefault(db_id, db_id)] = count
     return InlierTable(rows=rows)
-
-
-class _CsvCells(dict):
-    """Each value's cell text exactly as ``csv.writer`` writes it amid other fields, asked of
-    ``csv.writer`` once per value; a value that needs no quoting is its own text, not a copy."""
-
-    def __missing__(self, value) -> str:
-        out = io.StringIO()
-        csv.writer(out).writerow((value, ""))
-        text = out.getvalue()[:-3]  # drop the ",\r\n"
-        return self.setdefault(value, value if text == value else text)
 
 
 def write_inlier_table(table: InlierTable, path) -> None:
@@ -139,8 +122,7 @@ class SubprocessProvider(MatcherProvider):
             raise ValidationError("command template must contain {query} and {db} placeholders")
         if not 0 < timeout < float("inf"):
             raise ValidationError(f"timeout must be positive and finite, got {timeout}")
-        if max_concurrent < 1:
-            raise ValidationError(f"max_concurrent must be >= 1, got {max_concurrent}")
+        max_concurrent = _check_int(max_concurrent, "max_concurrent", 1)
         import shlex
         import threading
         try:

@@ -4,7 +4,8 @@ Re-ranking permutes a shortlist (never adds or drops candidates), sorting by
 inlier count descending. Ties keep retrieval order; pairs whose count is
 unavailable sink below every counted pair, again in retrieval order, so
 absence of evidence never promotes a candidate. The result is stored as
-columns, like the shortlist it permutes.
+columns, like the shortlist it permutes, and written in the CSV format that
+``_csvio`` owns.
 
 The adaptive gate spends matching effort only when the calibrated
 probability of wrong localization exceeds the policy threshold; otherwise
@@ -16,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from ._csvio import _CsvCells
 from .errors import MatcherError, MissingPairError, ValidationError
-from .matching import MatcherProvider, _CsvCells
+from .matching import MatcherProvider
 from .retrieval import Shortlist
 from .uncertainty import Estimator, LogisticModel, UncertaintyScore, score_prob
 

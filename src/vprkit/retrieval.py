@@ -12,19 +12,18 @@ grows with the block, not with the number of queries.
 A shortlist is stored as columns, nearest first: a list of str ids and one
 float64 ``array('d')`` of distances, which keeps ``rerank``, ``uncertainty``
 and ``gate`` numpy-free; ``ids()`` and ``distances()`` still return lists.
-Every shortlist holds at least one candidate.
+Every shortlist holds at least one candidate. The shortlist CSV is read and
+written in the format that ``_csvio`` owns.
 """
 
 from __future__ import annotations
 
-import csv
-import operator
 from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ValidationError
-from .matching import _CsvCells
+from ._csvio import _CsvCells, line_error, read_rows, width_error
+from .errors import ValidationError, _check_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -83,20 +82,9 @@ def build_index(split: Split) -> Index:
     return Index(split)
 
 
-def _check_k(k) -> int:
-    """``k`` as an int; a value ``operator.index`` refuses, or one below 1, is rejected."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValidationError(f"k must be an integer, got {k!r}") from None
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    return k
-
-
 def _check(index: Index, k, query_shape: tuple[int, ...]) -> int:
     """``k`` as an int; rejects a bad k and a query shape other than (index.dim,)."""
-    k = _check_k(k)
+    k = _check_int(k, "k", 1)
     if query_shape != (index.dim,):
         raise ValidationError(f"query dimension mismatch: query shape {query_shape}, "
                               f"index dim {index.dim}")
@@ -158,23 +146,18 @@ def read_shortlists_csv(path) -> list[Shortlist]:
     a query's rows may come in any order, but its ranks must be exactly 1..n."""
     columns: dict[str, tuple[list[int], list[str], array]] = {}
     db_names: dict[str, str] = {}  # one string object per distinct db id
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["query_id", "rank", "db_id", "distance"]:
-            raise ValidationError(f"{path}: unexpected shortlist CSV header {header}")
+    with read_rows(path, ["query_id", "rank", "db_id", "distance"], "shortlist") as reader:
         for row in reader:
-            lineno = reader.line_num  # physical: a quoted id may span lines
             if len(row) != 4:
-                raise ValidationError(f"{path}: line {lineno}: expected 4 fields")
+                raise width_error(path, reader, row, 4)
             qid, rank_s, db_id, dist_s = row
             try:
                 rank = int(rank_s)
                 dist = float(dist_s)
             except ValueError:
-                raise ValidationError(f"{path}: line {lineno}: bad rank or distance") from None
+                raise line_error(path, reader, "bad rank or distance") from None
             if rank < 1 or not dist >= 0:  # NaN fails every comparison
-                raise ValidationError(f"{path}: line {lineno}: rank/distance out of range")
+                raise line_error(path, reader, "rank/distance out of range")
             cols = columns.get(qid)
             if cols is None:
                 cols = columns[qid] = ([], [], array("d"))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import EARTH_RADIUS_M, GeoRecord, DescriptorBlob, Split, write_blob, write_manifest
-from .errors import ValidationError
+from .errors import ValidationError, _check_int
 from .matching import InlierTable, write_inlier_table
 from .retrieval import build_index, search_all
 
@@ -49,20 +49,22 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # numpy's generators take no negative seed
+        for name, minimum in (("n_db", None), ("n_queries", None), ("dim", 2), ("seed", 0)):
+            _check_int(getattr(self, name), name, minimum)
         if self.n_db < 1 or self.n_queries < 1:
             raise ValidationError("n_db and n_queries must be positive")
         if self.n_db < self.n_queries:
             raise ValidationError(
                 f"infeasible config: n_db ({self.n_db}) < n_queries ({self.n_queries})"
             )
-        if self.dim < 2:
-            raise ValidationError(f"dim must be >= 2, got {self.dim}")
         for name in ("target_retrieval_r1", "matcher_quality"):
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
                 raise ValidationError(f"{name} must be in [0, 1], got {value}")
-        if self.inlier_noise_scale < 0:
-            raise ValidationError("inlier_noise_scale must be non-negative")
+        if not self.inlier_noise_scale >= 0:  # NaN fails every comparison
+            raise ValidationError(
+                f"inlier_noise_scale must be non-negative, got {self.inlier_noise_scale}")
         if self.n_db < 2 and round(self.target_retrieval_r1 * self.n_queries) < self.n_queries:
             raise ValidationError(
                 f"infeasible config: a query meant to miss needs a distractor row besides "
@@ -99,8 +101,8 @@ def generate(config: SynthConfig, k: int = 100, gps_noise_m: float = 0.0) -> Syn
     perturbs the database coordinate labels (not the geometry of the
     instance), reproducing the noisy-GPS failure class.
     """
-    if gps_noise_m < 0:
-        raise ValidationError("gps_noise_m must be non-negative")
+    if not gps_noise_m >= 0:  # a NaN would skip the noise without a word
+        raise ValidationError(f"gps_noise_m must be non-negative, got {gps_noise_m}")
     rng = np.random.default_rng(config.seed)
 
     true_lat, true_lon = _grid_coords(config.n_db)

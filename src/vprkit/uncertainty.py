@@ -15,12 +15,12 @@ Every estimator returns a scalar u where higher means more uncertain:
 fit_logistic turns (u, wrongly-localized) samples into P(wrong | u) via a
 damped Newton solver on the ridge-regularized log-likelihood. Features are
 standardized with constants frozen at fit time, so affine rescalings of u do
-not change predictions.
+not change predictions. The scores CSV is read and written in the format that
+``_csvio`` owns.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
 import json
 import math
@@ -28,6 +28,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+from ._csvio import _CsvCells, line_error, read_rows, width_error
 from .errors import ValidationError
 from .matching import MatcherProvider
 from .retrieval import Shortlist
@@ -283,33 +284,27 @@ def write_scores_csv(scores: Iterable[UncertaintyScore], path,
 
     Every row is built before ``path`` is opened, so a score the model cannot
     map raises with no file written."""
-    rows = [[s.query_id, s.estimator.value, repr(s.u),
-             "" if model is None else repr(score_prob(model, s))] for s in scores]
+    cells = _CsvCells()
+    rows = "".join([f"{cells[s.query_id]},{s.estimator.value},{s.u!r},"
+                    f"{'' if model is None else repr(score_prob(model, s))}\r\n" for s in scores])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["query_id", "estimator", "u", "prob"])
-        writer.writerows(rows)
+        fh.write("query_id,estimator,u,prob\r\n" + rows)
 
 
 def read_scores_csv(path) -> list[UncertaintyScore]:
     scores: dict[tuple[str, Estimator], UncertaintyScore] = {}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["query_id", "estimator", "u", "prob"]:
-            raise ValidationError(f"{path}: unexpected scores CSV header {header}")
+    with read_rows(path, ["query_id", "estimator", "u", "prob"], "scores") as reader:
         for row in reader:
-            lineno = reader.line_num  # physical: a quoted id may span lines
             if len(row) != 4:
-                raise ValidationError(f"{path}: line {lineno}: expected 4 fields")
+                raise width_error(path, reader, row, 4)
             qid, est, u_s, _prob = row
             try:
                 score = UncertaintyScore(qid, Estimator(est), float(u_s))
             except ValueError:
-                raise ValidationError(f"{path}: line {lineno}: bad estimator or u value") from None
+                raise line_error(path, reader, "bad estimator or u value") from None
             if not math.isfinite(score.u):
-                raise ValidationError(f"{path}: line {lineno}: non-finite u value {u_s!r}")
+                raise line_error(path, reader, f"non-finite u value {u_s!r}")
             if (qid, score.estimator) in scores:
-                raise ValidationError(f"{path}: line {lineno}: duplicate score ({qid}, {est})")
+                raise line_error(path, reader, f"duplicate score ({qid}, {est})")
             scores[qid, score.estimator] = score
     return list(scores.values())

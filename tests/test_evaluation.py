@@ -26,7 +26,7 @@ from vprkit.retrieval import build_index, search_all
 from vprkit.synth import SynthConfig, generate
 from vprkit.uncertainty import Estimator, LogisticModel, fit_logistic, u_inlier
 
-from conftest import by_id, inlier_table, make_split, recall_at_k
+from conftest import by_id, csv_bytes, inlier_table, make_split, recall_at_k
 
 M_PER_DEG = 6_371_000.0 * math.pi / 180.0
 
@@ -324,6 +324,10 @@ class TestEvaluatePipeline:
         assert lines[0] == "estimator,recall,precision"
         estimators = {line.split(",")[0] for line in lines[1:]}
         assert estimators == {"l2", "pa", "sue", "random", "inlier"}
+        assert path.read_bytes() == csv_bytes(
+            [["estimator", "recall", "precision"]]
+            + [[est, repr(r), repr(p)] for est, points in report.pr_curves["25.0"].items()
+               for r, p in points])
 
     def test_pr_curves_csv_needs_curves_at_the_first_tau(self, tmp_path):
         report = EvalReport(n_queries=1, k=1, ks=(1,), taus=(25.0,), seed=0)
@@ -558,6 +562,8 @@ class TestEvaluateErrors:
 
     @pytest.mark.parametrize("override, message", [
         (dict(workers=0), "workers must be >= 1, got 0"),
+        (dict(workers=1.5), "workers must be an integer, got 1.5"),
+        (dict(workers="2"), "workers must be an integer, got '2'"),
         (dict(taus=()), "need at least one tau and one K"),
         (dict(ks=()), "need at least one tau and one K"),
         (dict(queries=make_split(np.empty((0, 8)), prefix="q")),
@@ -584,7 +590,7 @@ class TestEvaluateErrors:
         (dict(k=5.0), "k must be an integer, got 5.0"),
         (dict(ks=(1, 1.7)), "k must be an integer, got 1.7"),
         (dict(ks=(1, "5")), "k must be an integer, got '5'"),
-    ], ids=["no-workers", "no-taus", "no-ks", "no-queries", "negative-tau", "nan-tau",
+    ], ids=["no-workers", "fractional-workers", "string-workers", "no-taus", "no-ks", "no-queries", "negative-tau", "nan-tau",
             "unknown-gate", "unknown-estimator", "unknown-after-a-member", "threshold-above-1",
             "threshold-0-with-model", "oracle-threshold-7", "oracle-with-model", "k-1-with-pa",
             "k-1-with-a-pa-gate", "repeated-tau", "repeated-k", "fractional-k", "float-k",

@@ -76,6 +76,20 @@ class TestInlierTable:
             with pytest.raises(ValidationError, match=re.escape(f"{path}: line 3: {message}")):
                 load_inlier_table(path)
 
+    @pytest.mark.parametrize("first_query, row, message", [
+        ("q1", "q2,d1", "line 3: expected 3 fields, got 2"),
+        ("q1", "q2,d1,3,x", "line 3: expected 3 fields, got 4"),
+        ("lf\nx", "q2,d1", "line 4: expected 3 fields, got 2"),
+    ], ids=["short", "long", "after-a-quoted-line-break"])
+    def test_a_row_of_the_wrong_width_names_its_physical_line(self, tmp_path, first_query,
+                                                              row, message):
+        path = tmp_path / "i.csv"
+        write_inlier_table(inlier_table({(first_query, "d1"): 3}), path)
+        with open(path, "a", newline="") as fh:
+            fh.write(row + "\r\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}") + "$"):
+            load_inlier_table(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "i.csv"
         write_csv(path, [("q1", "d1", 3)], header="a,b,c")
@@ -273,6 +287,16 @@ class TestSubprocessProvider:
             with pytest.raises(ValidationError, match=f"timeout must be positive and finite, "
                                                       f"got {timeout}"):
                 SubprocessProvider(_py_cmd("print(1)"), timeout=timeout)
+
+    @pytest.mark.parametrize("value, message", [
+        (1.5, "max_concurrent must be an integer, got 1.5"),
+        ("2", "max_concurrent must be an integer, got '2'"),
+        (0, "max_concurrent must be >= 1, got 0"),
+    ], ids=["fractional", "string", "zero"])
+    def test_a_bad_max_concurrent_is_rejected_naming_it(self, value, message):
+        # a float once built a semaphore that never blocks; a string raised a bare TypeError
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            SubprocessProvider(_py_cmd("print(1)"), timeout=5, max_concurrent=value)
 
     def test_concurrency_stays_within_bound(self):
         provider = SubprocessProvider(_py_cmd("print(1)"), timeout=30, max_concurrent=3)

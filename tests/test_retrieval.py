@@ -504,6 +504,20 @@ class TestShortlistCsv:
         with pytest.raises(ValidationError, match="line 4: rank/distance out of range"):
             read_shortlists_csv(path)
 
+    @pytest.mark.parametrize("first_query, row, message", [
+        ("q0", "q1,1,d1", "line 3: expected 4 fields, got 3"),
+        ("q0", "q1,1,d1,0.5,extra", "line 3: expected 4 fields, got 5"),
+        ("lf\nx", "q1,1,d1", "line 4: expected 4 fields, got 3"),
+    ], ids=["short", "long", "after-a-quoted-line-break"])
+    def test_a_row_of_the_wrong_width_names_its_physical_line(self, tmp_path, first_query,
+                                                              row, message):
+        path = tmp_path / "s.csv"
+        write_shortlists_csv([Shortlist(first_query, ["d0"], [0.5])], path)
+        with open(path, "a", newline="") as fh:
+            fh.write(row + "\r\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}") + "$"):
+            read_shortlists_csv(path)
+
     def test_infinite_distance_round_trips(self, tmp_path):
         # search writes inf for every row when a query's distances overflow
         path = tmp_path / "s.csv"

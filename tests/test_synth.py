@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -40,6 +43,21 @@ class TestSynthConfig:
         with pytest.raises(ValidationError, match=message):
             SynthConfig(**{"n_db": 10, "n_queries": 5, "dim": 8, **override})
 
+
+    @pytest.mark.parametrize("override, message", [
+        (dict(n_db=20.5), "n_db must be an integer, got 20.5"),
+        (dict(n_queries=5.0), "n_queries must be an integer, got 5.0"),
+        (dict(dim=8.5), "dim must be an integer, got 8.5"),
+        (dict(seed="3"), "seed must be an integer, got '3'"),
+        (dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(seed=-1), "seed must be >= 0, got -1"),
+        (dict(inlier_noise_scale=math.nan), "inlier_noise_scale must be non-negative, got nan"),
+    ], ids=["fractional-db", "float-queries", "fractional-dim", "string-seed",
+            "fractional-seed", "negative-seed", "nan-noise"])
+    def test_a_bad_integer_field_or_a_nan_noise_is_rejected_naming_it(self, override, message):
+        # each once failed later, inside generate, with a bare TypeError or ValueError
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            SynthConfig(**{"n_db": 10, "n_queries": 5, "dim": 8, **override})
 
     def test_a_miss_needs_a_second_db_row(self):
         # round(0.5) = 0 queries hit, so the one query must miss, and its
@@ -113,6 +131,11 @@ class TestGenerate:
     def test_negative_gps_noise_is_rejected(self):
         with pytest.raises(ValidationError, match="gps_noise_m must be non-negative"):
             generate(small_config(), k=10, gps_noise_m=-1)
+
+    def test_nan_gps_noise_is_rejected(self):
+        # NaN > 0 is false, so it once skipped the label noise without a word
+        with pytest.raises(ValidationError, match="gps_noise_m must be non-negative, got nan"):
+            generate(small_config(), k=10, gps_noise_m=math.nan)
 
     def test_gps_noise_breaks_clean_labels(self):
         noisy = generate(small_config(target_retrieval_r1=1.0), k=10, gps_noise_m=60.0)

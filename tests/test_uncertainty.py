@@ -29,6 +29,8 @@ from vprkit.uncertainty import (
 )
 from vprkit.evaluation import auprc, pr_curve
 
+from conftest import AWKWARD_IDS, csv_bytes
+
 from conftest import inlier_table
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -457,6 +459,34 @@ class TestScoresCsv:
             fh.write("q1,l2,nan,\r\n")
         with pytest.raises(ValidationError, match="line 4: non-finite u value 'nan'"):
             read_scores_csv(path)
+
+    @pytest.mark.parametrize("first_query, row, message", [
+        ("q0", "q1,l2,0.5", "line 3: expected 4 fields, got 3"),
+        ("q0", "q1,l2,0.5,,", "line 3: expected 4 fields, got 5"),
+        ("lf\nx", "q1,l2,0.5", "line 4: expected 4 fields, got 3"),
+    ], ids=["short", "long", "after-a-quoted-line-break"])
+    def test_a_row_of_the_wrong_width_names_its_physical_line(self, tmp_path, first_query,
+                                                              row, message):
+        path = tmp_path / "scores.csv"
+        write_scores_csv([UncertaintyScore(first_query, Estimator.L2, 0.5)], path)
+        with open(path, "a", newline="") as fh:
+            fh.write(row + "\r\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}") + "$"):
+            read_scores_csv(path)
+
+    @pytest.mark.parametrize("model", [None, LogisticModel(w=1.5, b=-0.2, mean=0.1, std=2.0)],
+                             ids=["uncalibrated", "calibrated"])
+    def test_bytes_are_csv_writers_for_awkward_ids(self, tmp_path, model):
+        us = [0.5, -0.0, 1e-300, 1 / 3, -7.0]
+        scores = [UncertaintyScore(q, list(Estimator)[i % 5], us[i % 5])
+                  for i, q in enumerate(AWKWARD_IDS + [""])]
+        path = tmp_path / "scores.csv"
+        write_scores_csv(scores, path, model)
+        assert path.read_bytes() == csv_bytes(
+            [["query_id", "estimator", "u", "prob"]]
+            + [[s.query_id, s.estimator.value, repr(s.u),
+                "" if model is None else repr(predict_prob(model, s.u))] for s in scores])
+        assert read_scores_csv(path) == scores
 
     def test_repeated_score_is_rejected_naming_the_line(self, tmp_path):
         path = tmp_path / "scores.csv"
