@@ -215,7 +215,7 @@ def cmd_calibrate(args) -> int:
         if top1 is None:
             raise ValidationError(f"candidate {sl.db_ids[0]!r} not in db manifest")
         pairs.append((query.lat, query.lon, top1.lat, top1.lon))
-    wrong = haversine_many(*zip(*pairs)) > threshold.tau
+    wrong = ~threshold.within(haversine_many(*zip(*pairs)))
     samples = [(score.u, bool(w)) for score, w in zip(scores, wrong)]
     model = fit_logistic(samples)
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -4,7 +4,8 @@ A split is a JSONL manifest (one ``{"id", "lat", "lon"}`` object per line)
 plus a binary descriptor blob. Record order in the manifest defines each
 record's row in the blob. Geographic distance is great-circle (haversine) on
 a sphere of radius 6,371,000 m; a candidate is a correct localization when
-its distance to the query is at most the configured threshold (inclusive).
+its distance to the query is at most the configured threshold (inclusive),
+the one rule that ``DistanceThreshold.within`` states.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_real
 
 BLOB_MAGIC = b"VPRD"
 NORM_TOLERANCE = 1e-4
@@ -65,8 +66,14 @@ class DistanceThreshold:
     tau: float = 25.0
 
     def __post_init__(self):
+        _check_real(self.tau, "tau")
         if not (self.tau > 0.0 and math.isfinite(self.tau)):
             raise ValidationError(f"tau must be a positive real, got {self.tau}")
+
+    def within(self, meters: np.ndarray) -> np.ndarray:
+        """Whether each great-circle distance in ``meters`` is a correct localization,
+        ``meters <= tau``: a distance of exactly tau is correct."""
+        return meters <= self.tau
 
 
 @dataclass

@@ -3,11 +3,13 @@
 Validation problems (bad file contents, bad arguments, inconsistent data)
 raise ValidationError; plain I/O failures surface as the builtin OSError
 family. The CLI maps the former to exit code 1 and the latter to 2.
-``_check_int`` is the one rule for an integer argument or field.
+``_check_int`` is the one rule for an integer argument or field, and
+``_check_real`` the one for a real-valued one.
 """
 
 from __future__ import annotations
 
+import numbers
 import operator
 
 
@@ -63,3 +65,10 @@ def _check_int(value, name: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value}")
     return value
+
+
+def _check_real(value, name: str) -> None:
+    """Raise ValidationError naming ``name`` unless ``value`` is a ``numbers.Real``, such as
+    an int, a float or a numpy scalar; a str or None is not. The caller checks its range."""
+    if not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")

@@ -26,7 +26,7 @@ from .retrieval import BLOCK_ROWS, build_index, search_all
 from .uncertainty import (
     Estimator,
     LogisticModel,
-    UncertaintyScore,
+    _inlier_score,
     compute_uncertainties,
     fit_logistic,
 )
@@ -144,7 +144,7 @@ def write_pr_curves_csv(report: EvalReport, path) -> None:
         fh.write("estimator,recall,precision\r\n")
         for est, points in curves.items():
             e = cells[est]
-            fh.write("".join([f"{e},{r!r},{p!r}\r\n" for r, p in points]))
+            fh.write("".join([f"{e},{float(r)!r},{float(p)!r}\r\n" for r, p in points]))
 
 
 def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
@@ -183,7 +183,8 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
         raise ValidationError("need at least one tau and one K")
     if len(queries) == 0:
         raise ValidationError("recall is undefined over zero queries")
-    taus = tuple(DistanceThreshold(float(t)).tau for t in taus)
+    thresholds = tuple(DistanceThreshold(t) for t in taus)
+    taus = tuple(float(threshold.tau) for threshold in thresholds)
     k, ks = _check_int(k, "k", 1), tuple(_check_int(kk, "k", 1) for kk in ks)
     for name, values in (("tau", taus), ("K", ks)):
         if len(set(values)) < len(values):
@@ -205,8 +206,9 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
     db_records = {r.id: r for r in db.records}
     n_q = len(shortlists)
 
-    # correct[tau][i, j]: candidate j of query i lies within tau meters,
-    # labelled a block of query rows at a time to bound the temporaries
+    # correct[tau][i, j]: candidate j of query i lies within tau meters, as
+    # its threshold decides, labelled a block of query rows at a time to
+    # bound the temporaries
     row = {r.id: i for i, r in enumerate(db.records)}
     ids = (db_id for sl in shortlists for db_id in sl.db_ids)
     cand_rows = np.fromiter(map(row.__getitem__, ids), dtype=np.intp).reshape(n_q, -1)
@@ -216,8 +218,8 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
         cand = db_coords[cand_rows[lo:lo + BLOCK_ROWS]]
         q = q_coords[lo:lo + BLOCK_ROWS, None, :]
         dists = haversine_many(q[..., 0], q[..., 1], cand[..., 0], cand[..., 1])
-        for tau in taus:
-            correct[tau][lo:lo + BLOCK_ROWS] = dists <= tau
+        for tau, threshold in zip(taus, thresholds):
+            correct[tau][lo:lo + BLOCK_ROWS] = threshold.within(dists)
     del row, cand_rows
 
     # keys[i, j]: the sort key of candidate j of query i (rerank's rule)
@@ -246,8 +248,7 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
     scored = dict.fromkeys((*estimators, *gate_scored))
     if Estimator.INLIER in scored and top1_errors:
         raise top1_errors[min(top1_errors)]
-    # u_inlier's -float(count), bit for bit: a count of 0 scores -0.0
-    inlier_scores = [UncertaintyScore(sl.query_id, Estimator.INLIER, -float(-key))
+    inlier_scores = [_inlier_score(sl.query_id, -key)
                      for sl, key in zip(shortlists, keys[:, 0].tolist())]
     del keys, top1_errors
     scores_by_estimator = {est: inlier_scores if est is Estimator.INLIER else

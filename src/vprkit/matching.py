@@ -22,6 +22,7 @@ from .errors import (
     MissingPairError,
     ValidationError,
     _check_int,
+    _check_real,
 )
 
 if TYPE_CHECKING:
@@ -113,22 +114,29 @@ class SubprocessProvider(MatcherProvider):
     read as bytes and its last whitespace-delimited token is parsed as the
     non-negative inlier count, so wrapper scripts are free to log before it,
     in any encoding. At most ``max_concurrent`` invocations run at once.
-    ``subprocess``, ``shlex`` and ``threading`` are imported here, their
-    only user, so start-up skips them.
+    ``subprocess``, ``shlex``, ``shutil`` and ``threading`` are imported
+    here, their only user, so start-up skips them.
     """
 
     def __init__(self, command_template: str, timeout: float = 60.0, max_concurrent: int = 1):
         if "{query}" not in command_template or "{db}" not in command_template:
             raise ValidationError("command template must contain {query} and {db} placeholders")
+        _check_real(timeout, "timeout")
         if not 0 < timeout < float("inf"):
             raise ValidationError(f"timeout must be positive and finite, got {timeout}")
         max_concurrent = _check_int(max_concurrent, "max_concurrent", 1)
         import shlex
+        import shutil
         import threading
         try:
             self._tokens = shlex.split(command_template)
         except ValueError as exc:
             raise ValidationError(f"command template {command_template!r}: {exc}") from None
+        # the program is looked up on PATH once, here, not by every child; one that
+        # is not found stays as written, so each call fails as it would have
+        program = self._tokens[0]
+        if not _PLACEHOLDER.search(program):
+            self._tokens[0] = shutil.which(program) or program
         self.timeout = timeout
         self._slots = threading.BoundedSemaphore(max_concurrent)
 

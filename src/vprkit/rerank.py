@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from ._csvio import _CsvCells
-from .errors import MatcherError, MissingPairError, ValidationError
+from .errors import MatcherError, MissingPairError, ValidationError, _check_real
 from .matching import MatcherProvider
 from .retrieval import Shortlist
-from .uncertainty import Estimator, LogisticModel, UncertaintyScore, score_prob
+from .uncertainty import Estimator, LogisticModel, UncertaintyScore, _inlier_count, score_prob
 
 
 @dataclass
@@ -55,6 +55,7 @@ class RerankedShortlist:
 
 def _check_threshold(threshold: float) -> None:
     """Raise unless ``threshold`` is a gate probability strictly inside (0, 1)."""
+    _check_real(threshold, "gate threshold")
     if not (0.0 < threshold < 1.0):
         raise ValidationError(f"gate threshold must be strictly inside (0, 1), got {threshold}")
 
@@ -133,13 +134,8 @@ def adaptive_rerank(shortlist: Shortlist, provider: MatcherProvider, policy: Gat
             f"gate expects {policy.estimator.value!r} uncertainty, got {u.estimator.value!r}"
         )
     fired = policy.fires(u)  # a non-finite u is rejected here
-    top1: list[int] = []  # [count] when u holds the top-1 count
-    if policy.estimator is Estimator.INLIER:
-        count = -float(u.u)
-        if not (count >= 0 and count.is_integer()):
-            raise ValidationError(f"query {u.query_id!r}: an inlier uncertainty is a negated "
-                                  f"count, a whole number <= 0, got {u.u!r}")
-        top1 = [int(count)]
+    # [count] when u holds the top-1 count
+    top1 = [_inlier_count(u)] if policy.estimator is Estimator.INLIER else []
 
     if fired:
         keys, diagnostics = inlier_keys(shortlist.query_id, shortlist.db_ids[len(top1):],

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import EARTH_RADIUS_M, GeoRecord, DescriptorBlob, Split, write_blob, write_manifest
-from .errors import ValidationError, _check_int
+from .errors import ValidationError, _check_int, _check_real
 from .matching import InlierTable, write_inlier_table
 from .retrieval import build_index, search_all
 
@@ -60,8 +60,10 @@ class SynthConfig:
             )
         for name in ("target_retrieval_r1", "matcher_quality"):
             value = getattr(self, name)
+            _check_real(value, name)
             if not (0.0 <= value <= 1.0):
                 raise ValidationError(f"{name} must be in [0, 1], got {value}")
+        _check_real(self.inlier_noise_scale, "inlier_noise_scale")
         if not self.inlier_noise_scale >= 0:  # NaN fails every comparison
             raise ValidationError(
                 f"inlier_noise_scale must be non-negative, got {self.inlier_noise_scale}")
@@ -101,6 +103,7 @@ def generate(config: SynthConfig, k: int = 100, gps_noise_m: float = 0.0) -> Syn
     perturbs the database coordinate labels (not the geometry of the
     instance), reproducing the noisy-GPS failure class.
     """
+    _check_real(gps_noise_m, "gps_noise_m")
     if not gps_noise_m >= 0:  # a NaN would skip the noise without a word
         raise ValidationError(f"gps_noise_m must be non-negative, got {gps_noise_m}")
     rng = np.random.default_rng(config.seed)

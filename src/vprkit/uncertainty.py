@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ._csvio import _CsvCells, line_error, read_rows, width_error
-from .errors import ValidationError
+from .errors import ValidationError, _check_real
 from .matching import MatcherProvider
 from .retrieval import Shortlist
 
@@ -79,6 +79,7 @@ class LogisticModel:
     def __post_init__(self):
         for name in ("w", "b", "mean", "std"):
             value = getattr(self, name)
+            _check_real(value, f"model field {name!r}")
             if not math.isfinite(value):
                 raise ValidationError(f"model field {name!r} must be finite, got {value}")
         if not self.std > 0:
@@ -161,10 +162,24 @@ def u_random(query_id: str, seed: int) -> UncertaintyScore:
     return UncertaintyScore(query_id, Estimator.RANDOM, u)
 
 
+def _inlier_score(query_id: str, count: int) -> UncertaintyScore:
+    """The inlier score of a top-1 count, u = -count: a count of 0 scores -0.0."""
+    return UncertaintyScore(query_id, Estimator.INLIER, -float(count))
+
+
+def _inlier_count(score: UncertaintyScore) -> int:
+    """The top-1 count that an inlier score holds, ``_inlier_score`` undone; a u that is
+    not a whole number <= 0 raises ValidationError naming the query."""
+    count = -float(score.u)
+    if not (count >= 0 and count.is_integer()):
+        raise ValidationError(f"query {score.query_id!r}: an inlier uncertainty is a negated "
+                              f"count, a whole number <= 0, got {score.u!r}")
+    return int(count)
+
+
 def u_inlier(query_id: str, top1_db_id: str, provider: MatcherProvider) -> UncertaintyScore:
     """Negated inlier count of the top-1 pair; missing counts propagate."""
-    count = provider.get_inliers(query_id, top1_db_id)
-    return UncertaintyScore(query_id, Estimator.INLIER, -float(count))
+    return _inlier_score(query_id, provider.get_inliers(query_id, top1_db_id))
 
 
 def compute_uncertainties(shortlists: Sequence[Shortlist], estimator: Estimator,
@@ -285,7 +300,7 @@ def write_scores_csv(scores: Iterable[UncertaintyScore], path,
     Every row is built before ``path`` is opened, so a score the model cannot
     map raises with no file written."""
     cells = _CsvCells()
-    rows = "".join([f"{cells[s.query_id]},{s.estimator.value},{s.u!r},"
+    rows = "".join([f"{cells[s.query_id]},{s.estimator.value},{float(s.u)!r},"
                     f"{'' if model is None else repr(score_prob(model, s))}\r\n" for s in scores])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("query_id,estimator,u,prob\r\n" + rows)

@@ -299,3 +299,7 @@ class TestDistanceThreshold:
             DistanceThreshold(0.0)
         with pytest.raises(ValidationError):
             DistanceThreshold(-5.0)
+
+    def test_a_distance_of_exactly_tau_is_correct(self):
+        within = DistanceThreshold(25.0).within(np.array([24.9, 25.0, 25.1]))
+        assert within.tolist() == [True, True, False]

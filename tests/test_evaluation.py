@@ -329,6 +329,14 @@ class TestEvaluatePipeline:
             + [[est, repr(r), repr(p)] for est, points in report.pr_curves["25.0"].items()
                for r, p in points])
 
+    def test_pr_curves_csv_writes_numpy_points_as_floats(self, tmp_path):
+        points = [[np.float64(0.5), np.float64(1.0)], [np.float64(1.0), np.float64(0.5)]]
+        report = EvalReport(n_queries=2, k=1, ks=(1,), taus=(25.0,), seed=0,
+                            pr_curves={"25.0": {"l2": points}})
+        path = tmp_path / "curves.csv"
+        write_pr_curves_csv(report, path)
+        assert path.read_bytes() == b"estimator,recall,precision\r\nl2,0.5,1.0\r\nl2,1.0,0.5\r\n"
+
     def test_pr_curves_csv_needs_curves_at_the_first_tau(self, tmp_path):
         report = EvalReport(n_queries=1, k=1, ks=(1,), taus=(25.0,), seed=0)
         path = tmp_path / "curves.csv"
@@ -590,11 +598,13 @@ class TestEvaluateErrors:
         (dict(k=5.0), "k must be an integer, got 5.0"),
         (dict(ks=(1, 1.7)), "k must be an integer, got 1.7"),
         (dict(ks=(1, "5")), "k must be an integer, got '5'"),
+        (dict(taus=("x",)), "tau must be a real number, got 'x'"),
+        (dict(taus=(25.0, "25")), "tau must be a real number, got '25'"),
     ], ids=["no-workers", "fractional-workers", "string-workers", "no-taus", "no-ks", "no-queries", "negative-tau", "nan-tau",
             "unknown-gate", "unknown-estimator", "unknown-after-a-member", "threshold-above-1",
             "threshold-0-with-model", "oracle-threshold-7", "oracle-with-model", "k-1-with-pa",
             "k-1-with-a-pa-gate", "repeated-tau", "repeated-k", "fractional-k", "float-k",
-            "fractional-K", "string-K"])
+            "fractional-K", "string-K", "non-number-tau", "string-tau"])
     def test_a_bad_argument_is_rejected_before_any_matcher_call(self, override, message):
         inst = generate(SynthConfig(n_db=60, n_queries=20, dim=8, seed=570), k=5)
         provider = CountingProvider(TableProvider(inst.inliers))

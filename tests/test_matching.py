@@ -267,6 +267,25 @@ class TestSubprocessProvider:
             provider.get_inliers(query_id, "d")
         assert (info.value.query_id, info.value.db_id) == (query_id, "d")
 
+    @pytest.mark.skipif(sys.platform == "win32", reason="runs a POSIX shell script")
+    def test_the_program_is_looked_up_on_path_once_when_built(self, tmp_path, monkeypatch):
+        tool = tmp_path / "fake-matcher"
+        tool.write_text("#!/bin/sh\necho 9\n")
+        tool.chmod(0o755)
+        monkeypatch.setenv("PATH", str(tmp_path))
+        provider = SubprocessProvider("fake-matcher {query} {db}", timeout=30)
+        monkeypatch.setenv("PATH", "")
+        assert provider.get_inliers("q", "d") == 9
+        seen = []
+
+        def fake_run(argv):
+            seen.append(argv)
+            return subprocess.CompletedProcess(argv, 0, stdout=b"9\n", stderr=b"")
+
+        provider._run = fake_run
+        assert provider.get_inliers("q", "d") == 9
+        assert seen == [[str(tool), "q", "d"]]
+
     def test_template_must_have_placeholders(self):
         with pytest.raises(ValidationError, match="placeholder"):
             SubprocessProvider("matcher --left only", timeout=30)

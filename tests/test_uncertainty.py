@@ -16,6 +16,8 @@ from vprkit.uncertainty import (
     Estimator,
     LogisticModel,
     UncertaintyScore,
+    _inlier_count,
+    _inlier_score,
     compute_uncertainties,
     fit_logistic,
     predict_prob,
@@ -193,6 +195,14 @@ class TestInlierUncertainty:
         provider = TableProvider(inlier_table({}))
         with pytest.raises(MissingPairError):
             u_inlier("q", "top", provider)
+
+    @pytest.mark.parametrize("count, u", [(0, -0.0), (7, -7.0)])
+    def test_a_count_round_trips_through_its_score(self, count, u):
+        score = _inlier_score("q", count)
+        assert score == UncertaintyScore("q", Estimator.INLIER, u)
+        assert math.copysign(1.0, score.u) == -1.0  # a count of 0 scores -0.0
+        back = _inlier_count(score)
+        assert back == count and type(back) is int
 
     def test_rank_equivalence_with_counts(self, rng):
         counts = {(f"q{i}", "t"): int(c) for i, c in enumerate(rng.integers(0, 500, 40))}
@@ -487,6 +497,13 @@ class TestScoresCsv:
             + [[s.query_id, s.estimator.value, repr(s.u),
                 "" if model is None else repr(predict_prob(model, s.u))] for s in scores])
         assert read_scores_csv(path) == scores
+
+    def test_a_numpy_scalar_u_writes_the_python_float_row(self, tmp_path):
+        numpy_path, float_path = tmp_path / "numpy.csv", tmp_path / "float.csv"
+        write_scores_csv([UncertaintyScore("q", Estimator.L2, np.float64(0.5))], numpy_path)
+        write_scores_csv([UncertaintyScore("q", Estimator.L2, 0.5)], float_path)
+        assert numpy_path.read_bytes() == float_path.read_bytes()
+        assert read_scores_csv(numpy_path) == [UncertaintyScore("q", Estimator.L2, 0.5)]
 
     def test_repeated_score_is_rejected_naming_the_line(self, tmp_path):
         path = tmp_path / "scores.csv"
