@@ -55,6 +55,14 @@ class MatcherOutputError(MatcherError):
     """The matcher subprocess produced stdout we cannot parse."""
 
 
+def _shown(value) -> str:
+    """``str(value)``, or the sign and size of an int too long for ``str()`` to write."""
+    try:
+        return str(value)
+    except ValueError:  # over sys.get_int_max_str_digits() digits
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+
+
 def _check_int(value, name: str, minimum: int | None = None) -> int:
     """``value`` as an int; one that ``operator.index`` refuses, or one below ``minimum``,
     raises ValidationError naming ``name``."""
@@ -63,12 +71,16 @@ def _check_int(value, name: str, minimum: int | None = None) -> int:
     except TypeError:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None
     if minimum is not None and value < minimum:
-        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+        raise ValidationError(f"{name} must be >= {minimum}, got {_shown(value)}")
     return value
 
 
 def _check_real(value, name: str) -> None:
-    """Raise ValidationError naming ``name`` unless ``value`` is a ``numbers.Real``, such as
-    an int, a float or a numpy scalar; a str or None is not. The caller checks its range."""
+    """Raise ValidationError naming ``name`` unless ``value`` is a ``numbers.Real`` a float can
+    hold, such as 1, 0.5 or a numpy scalar; "1", None or 10**400 is not. The caller checks range."""
     if not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} must fit in a float, got {_shown(value)}") from None

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._csvio import _CsvCells
 from .dataset import DistanceThreshold, Split, haversine_many
-from .errors import ValidationError, VprError, _check_int
+from .errors import ValidationError, VprError, _check_int, _shown
 from .matching import MatcherProvider
 from .rerank import MISSING_KEY, GatePolicy, _check_threshold, inlier_keys
 from .retrieval import BLOCK_ROWS, build_index, search_all
@@ -188,7 +188,8 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
     k, ks = _check_int(k, "k", 1), tuple(_check_int(kk, "k", 1) for kk in ks)
     for name, values in (("tau", taus), ("K", ks)):
         if len(set(values)) < len(values):
-            raise ValidationError(f"each {name} must be given once, got {values}")
+            raise ValidationError(
+                f"each {name} must be given once, got ({', '.join(map(_shown, values))})")
     estimators = tuple(_as_estimator(e, "estimator") for e in estimators)
     if gate_estimator != ORACLE_GATE:
         gate_estimator = _as_estimator(gate_estimator, "gate estimator")
@@ -228,13 +229,8 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
 
     def _fetch(i: int) -> None:
         """Fill row i of keys and query i's top-1 error; a pool thread writes only its own."""
-        sl = shortlists[i]
-        try:
-            key_row, diagnostics = inlier_keys(sl.query_id, sl.db_ids, provider)
-        except ValidationError as exc:
-            raise ValidationError(f"query {sl.query_id!r}: {exc}") from exc
-        keys[i] = key_row
-        if key_row[0] == MISSING_KEY:  # a failed top-1 fetch is the first
+        keys[i], diagnostics = inlier_keys(shortlists[i].query_id, shortlists[i].db_ids, provider)
+        if keys[i, 0] == MISSING_KEY:  # a failed top-1 fetch is the first
             top1_errors[i] = diagnostics[0][1]
 
     if workers == 1:  # serial, so the default path starts no pool thread

@@ -143,7 +143,8 @@ class SubprocessProvider(MatcherProvider):
     def _run(self, argv: list[str]) -> subprocess.CompletedProcess:
         # separated out so tests can observe/replace the actual invocation
         import subprocess
-        return subprocess.run(argv, capture_output=True, timeout=self.timeout)
+        return subprocess.run(argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                              timeout=self.timeout)
 
     def get_inliers(self, query_id: str, db_id: str,
                     image_paths: tuple[str, str] | None = None) -> int:

@@ -85,9 +85,10 @@ def inlier_keys(query_id: str, db_ids: list[str], provider: MatcherProvider
     Returns the sort key of each pair, -count or ``MISSING_KEY`` where its
     fetch raised ``MissingPairError`` or ``MatcherError``, and the
     (db_id, error) of each failed fetch. A stable ascending sort of the keys
-    is the re-ranking order. Any other error, such as a ``ValidationError``,
-    propagates. ``evaluate_pipeline`` reads its inlier scores from the top-1
-    keys; ``adaptive_rerank`` leaves out the top-1 pair an inlier score holds.
+    is the re-ranking order. A provider's ``ValidationError`` propagates
+    with the prefix ``query 'ID': ``, any other error as it was raised.
+    ``evaluate_pipeline`` reads its inlier scores from the top-1 keys;
+    ``adaptive_rerank`` leaves out the top-1 pair an inlier score holds.
     """
     keys: list[int] = []
     diagnostics: list[tuple[str, MissingPairError | MatcherError]] = []
@@ -97,6 +98,8 @@ def inlier_keys(query_id: str, db_ids: list[str], provider: MatcherProvider
         except (MissingPairError, MatcherError) as exc:
             keys.append(MISSING_KEY)
             diagnostics.append((db_id, exc.with_traceback(None)))  # kept: drop its frames
+        except ValidationError as exc:
+            raise ValidationError(f"query {query_id!r}: {exc}") from exc
     return keys, diagnostics
 
 

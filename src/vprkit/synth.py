@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import EARTH_RADIUS_M, GeoRecord, DescriptorBlob, Split, write_blob, write_manifest
-from .errors import ValidationError, _check_int, _check_real
+from .errors import ValidationError, _check_int, _check_real, _shown
 from .matching import InlierTable, write_inlier_table
 from .retrieval import build_index, search_all
 
@@ -27,6 +27,7 @@ BASE_LON = 7.0
 GRID_SPACING_M = 200.0  # distractors stay far beyond any tau in play
 QUERY_OFFSET_MAX_M = 4.0
 M_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0
+M_PER_DEG_LON = M_PER_DEG_LAT * math.cos(math.radians(BASE_LAT))
 
 HIGH_COUNT_BASE = 50
 
@@ -55,9 +56,8 @@ class SynthConfig:
         if self.n_db < 1 or self.n_queries < 1:
             raise ValidationError("n_db and n_queries must be positive")
         if self.n_db < self.n_queries:
-            raise ValidationError(
-                f"infeasible config: n_db ({self.n_db}) < n_queries ({self.n_queries})"
-            )
+            raise ValidationError(f"infeasible config: n_db ({_shown(self.n_db)}) < "
+                                  f"n_queries ({_shown(self.n_queries)})")
         for name in ("target_retrieval_r1", "matcher_quality"):
             value = getattr(self, name)
             _check_real(value, name)
@@ -82,17 +82,21 @@ class SynthInstance:
 
 
 def _grid_coords(n: int) -> tuple[np.ndarray, np.ndarray]:
-    cols = max(1, int(math.ceil(math.sqrt(n))))
-    idx = np.arange(n)
-    row = idx // cols
-    col = idx % cols
-    lat = BASE_LAT + row * (GRID_SPACING_M / M_PER_DEG_LAT)
-    lon = BASE_LON + col * (GRID_SPACING_M / (M_PER_DEG_LAT * math.cos(math.radians(BASE_LAT))))
-    return lat, lon
+    row, col = np.divmod(np.arange(n), max(1, int(math.ceil(math.sqrt(n)))))
+    return (BASE_LAT + row * (GRID_SPACING_M / M_PER_DEG_LAT),
+            BASE_LON + col * (GRID_SPACING_M / M_PER_DEG_LON))
 
 
 def _unit_rows(mat: np.ndarray) -> np.ndarray:
     return mat / np.linalg.norm(mat, axis=1, keepdims=True)
+
+
+def _split(ids: list[str], lat: np.ndarray, lon: np.ndarray, desc: np.ndarray) -> Split:
+    """Records of ``ids`` at (lat, lon) with a read-only float32 copy of ``desc`` as blob."""
+    rows32 = np.ascontiguousarray(desc, dtype=np.float32)
+    rows32.flags.writeable = False
+    records = [GeoRecord(id=i, lat=a, lon=o) for i, a, o in zip(ids, lat.tolist(), lon.tolist())]
+    return Split(records=records, blob=DescriptorBlob(rows=rows32))
 
 
 def generate(config: SynthConfig, k: int = 100, gps_noise_m: float = 0.0) -> SynthInstance:
@@ -106,61 +110,51 @@ def generate(config: SynthConfig, k: int = 100, gps_noise_m: float = 0.0) -> Syn
     _check_real(gps_noise_m, "gps_noise_m")
     if not gps_noise_m >= 0:  # a NaN would skip the noise without a word
         raise ValidationError(f"gps_noise_m must be non-negative, got {gps_noise_m}")
+    if gps_noise_m == math.inf:  # it would place every db record at an infinite lat
+        raise ValidationError(f"gps_noise_m must be finite, got {gps_noise_m}")
+    n_db, n_q = config.n_db, config.n_queries
     rng = np.random.default_rng(config.seed)
 
-    true_lat, true_lon = _grid_coords(config.n_db)
+    true_lat, true_lon = _grid_coords(n_db)
     # label noise perturbs only the db records' stored coordinates; query
     # placement uses the clean geometry so noise actually corrupts labels
     db_lat, db_lon = true_lat, true_lon
     if gps_noise_m > 0:
-        db_lat = true_lat + rng.normal(0.0, gps_noise_m, config.n_db) / M_PER_DEG_LAT
-        db_lon = true_lon + rng.normal(0.0, gps_noise_m, config.n_db) / (
-            M_PER_DEG_LAT * math.cos(math.radians(BASE_LAT)))
-    db_ids = [f"db_{i:05d}" for i in range(config.n_db)]
-    db_records = [
-        GeoRecord(id=db_ids[i], lat=float(db_lat[i]), lon=float(db_lon[i]))
-        for i in range(config.n_db)
-    ]
-    db_desc = _unit_rows(rng.standard_normal((config.n_db, config.dim)))
+        db_lat = true_lat + rng.normal(0.0, gps_noise_m, n_db) / M_PER_DEG_LAT
+        db_lon = true_lon + rng.normal(0.0, gps_noise_m, n_db) / M_PER_DEG_LON
+    db_ids = [f"db_{i:05d}" for i in range(n_db)]
+    db_desc = _unit_rows(rng.standard_normal((n_db, config.dim)))
 
     # each query sits a few meters from db record i; everything else is >= 196 m away
-    truth_idx = np.arange(config.n_queries)
-    angles = rng.uniform(0.0, 2.0 * math.pi, config.n_queries)
-    radii = rng.uniform(1.0, QUERY_OFFSET_MAX_M, config.n_queries)
-    q_lat = true_lat[truth_idx] + radii * np.sin(angles) / M_PER_DEG_LAT
-    q_lon = true_lon[truth_idx] + radii * np.cos(angles) / (
-        M_PER_DEG_LAT * math.cos(math.radians(BASE_LAT)))
-    query_ids = [f"q_{i:05d}" for i in range(config.n_queries)]
-    query_records = [
-        GeoRecord(id=query_ids[i], lat=float(q_lat[i]), lon=float(q_lon[i]))
-        for i in range(config.n_queries)
-    ]
+    angles = rng.uniform(0.0, 2.0 * math.pi, n_q)
+    radii = rng.uniform(1.0, QUERY_OFFSET_MAX_M, n_q)
+    q_lat = true_lat[:n_q] + radii * np.sin(angles) / M_PER_DEG_LAT
+    q_lon = true_lon[:n_q] + radii * np.cos(angles) / M_PER_DEG_LON
+    query_ids = [f"q_{i:05d}" for i in range(n_q)]
 
-    n_hit = int(round(config.target_retrieval_r1 * config.n_queries))
-    order = rng.permutation(config.n_queries)
-    intended_hit = np.zeros(config.n_queries, dtype=bool)
-    intended_hit[order[:n_hit]] = True
+    n_hit = int(round(config.target_retrieval_r1 * n_q))
+    intended_hit = np.zeros(n_q, dtype=bool)
+    intended_hit[rng.permutation(n_q)[:n_hit]] = True
 
-    noise = _unit_rows(rng.standard_normal((config.n_queries, config.dim)))
-    q_desc = np.empty((config.n_queries, config.dim), dtype=np.float64)
-    for i in range(config.n_queries):
-        true_vec = db_desc[truth_idx[i]]
-        if intended_hit[i]:
-            q_desc[i] = 0.95 * true_vec + 0.31 * noise[i]
-        else:
-            j = int(rng.integers(0, config.n_db))
-            while j == truth_idx[i]:
-                j = int(rng.integers(0, config.n_db))
-            # distractor dominates, true match stays near the top of the list
-            q_desc[i] = 0.80 * db_desc[j] + 0.55 * true_vec + 0.24 * noise[i]
+    noise = _unit_rows(rng.standard_normal((n_q, config.dim)))
+    miss = np.flatnonzero(~intended_hit)
+    distractor = np.empty(len(miss), dtype=np.intp)
+    for m, i in enumerate(miss):  # any row but the query's own match, drawn in query order
+        j = int(rng.integers(0, n_db))
+        while j == i:
+            j = int(rng.integers(0, n_db))
+        distractor[m] = j
+    q_desc = 0.95 * db_desc[:n_q] + 0.31 * noise
+    # distractor dominates, true match stays near the top of the list
+    q_desc[miss] = 0.80 * db_desc[distractor] + 0.55 * db_desc[miss] + 0.24 * noise[miss]
     q_desc = _unit_rows(q_desc)
 
-    db_split = Split(records=db_records, blob=_frozen_blob(db_desc.astype(np.float32)))
-    query_split = Split(records=query_records, blob=_frozen_blob(q_desc.astype(np.float32)))
+    db_split = _split(db_ids, db_lat, db_lon, db_desc)
+    query_split = _split(query_ids, q_lat, q_lon, q_desc)
 
     shortlists = search_all(build_index(db_split), query_split, k)
 
-    truth = {query_ids[i]: db_ids[truth_idx[i]] for i in range(config.n_queries)}
+    truth = dict(zip(query_ids, db_ids))
     rows: dict[str, dict[str, int]] = {}
     wrong_span = 1 + int(round(20.0 * min(config.inlier_noise_scale, 2.0)))
     for sl in shortlists:
@@ -169,20 +163,13 @@ def generate(config: SynthConfig, k: int = 100, gps_noise_m: float = 0.0) -> Syn
         low = rng.integers(0, wrong_span, size=len(sl.db_ids))
         row = rows[sl.query_id] = dict(zip(sl.db_ids, low.tolist()))
         if true_id in row:
-            if matcher_right:
-                row[true_id] = HIGH_COUNT_BASE + int(rng.integers(0, 50))
-            else:
-                boosted = next((c for c in sl.db_ids if c != true_id), None)
-                if boosted is not None:
-                    row[boosted] = HIGH_COUNT_BASE + int(rng.integers(0, 50))
+            # the pair the matcher scores highest: the true one, or else the first other
+            scored = true_id if matcher_right else next(
+                (c for c in sl.db_ids if c != true_id), None)
+            if scored is not None:
+                row[scored] = HIGH_COUNT_BASE + int(rng.integers(0, 50))
     return SynthInstance(db=db_split, queries=query_split,
                          inliers=InlierTable(rows=rows), truth=truth)
-
-
-def _frozen_blob(rows32: np.ndarray) -> DescriptorBlob:
-    rows32 = np.ascontiguousarray(rows32, dtype=np.float32)
-    rows32.flags.writeable = False
-    return DescriptorBlob(rows=rows32)
 
 
 def write_instance(instance: SynthInstance, out_dir) -> dict[str, str]:

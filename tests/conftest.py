@@ -8,7 +8,7 @@ import pytest
 
 from vprkit.dataset import GeoRecord, DescriptorBlob, Split, haversine_many
 from vprkit.errors import ValidationError
-from vprkit.matching import InlierTable
+from vprkit.matching import InlierTable, MatcherProvider
 
 
 def write_manifest_file(path, rows):
@@ -72,6 +72,19 @@ def inlier_table(counts):
     for (qid, db_id), n in counts.items():
         rows.setdefault(qid, {})[db_id] = n
     return InlierTable(rows=rows)
+
+
+class InvalidPairProvider(MatcherProvider):
+    """Raises ValidationError on one pair and delegates every other."""
+
+    def __init__(self, inner: MatcherProvider, pair: tuple[str, str]):
+        self.inner = inner
+        self.pair = pair
+
+    def get_inliers(self, query_id, db_id):
+        if (query_id, db_id) == self.pair:
+            raise ValidationError(f"cannot match ({query_id}, {db_id})")
+        return self.inner.get_inliers(query_id, db_id)
 
 
 def recall_at_k(results, query_records, db_records, k, threshold):

@@ -26,7 +26,7 @@ from vprkit.retrieval import build_index, search_all
 from vprkit.synth import SynthConfig, generate
 from vprkit.uncertainty import Estimator, LogisticModel, fit_logistic, u_inlier
 
-from conftest import by_id, csv_bytes, inlier_table, make_split, recall_at_k
+from conftest import InvalidPairProvider, by_id, csv_bytes, inlier_table, make_split, recall_at_k
 
 M_PER_DEG = 6_371_000.0 * math.pi / 180.0
 
@@ -375,19 +375,6 @@ class TimeoutProvider(MatcherProvider):
         return self.inner.get_inliers(query_id, db_id)
 
 
-class InvalidPairProvider(MatcherProvider):
-    """Raises ValidationError on one pair and delegates every other."""
-
-    def __init__(self, inner: MatcherProvider, pair: tuple[str, str]):
-        self.inner = inner
-        self.pair = pair
-
-    def get_inliers(self, query_id, db_id):
-        if (query_id, db_id) == self.pair:
-            raise ValidationError(f"cannot match ({query_id}, {db_id})")
-        return self.inner.get_inliers(query_id, db_id)
-
-
 class RecordIdProvider(MatcherProvider):
     """A provider written to the signature the pipeline calls: record ids
     only, over a flat {(query_id, db_id): count} dict."""
@@ -594,6 +581,7 @@ class TestEvaluateErrors:
          "PA score needs at least 2 candidates"),
         (dict(taus=(25, 100.0, 25.0)), "each tau must be given once, got (25.0, 100.0, 25.0)"),
         (dict(ks=(1, 1, 5)), "each K must be given once, got (1, 1, 5)"),
+        (dict(ks=(10**5000, 10**5000)), "each K must be given once, got ("),
         (dict(k=2.5), "k must be an integer, got 2.5"),
         (dict(k=5.0), "k must be an integer, got 5.0"),
         (dict(ks=(1, 1.7)), "k must be an integer, got 1.7"),
@@ -603,7 +591,8 @@ class TestEvaluateErrors:
     ], ids=["no-workers", "fractional-workers", "string-workers", "no-taus", "no-ks", "no-queries", "negative-tau", "nan-tau",
             "unknown-gate", "unknown-estimator", "unknown-after-a-member", "threshold-above-1",
             "threshold-0-with-model", "oracle-threshold-7", "oracle-with-model", "k-1-with-pa",
-            "k-1-with-a-pa-gate", "repeated-tau", "repeated-k", "fractional-k", "float-k",
+            "k-1-with-a-pa-gate", "repeated-tau", "repeated-k", "repeated-long-k",
+            "fractional-k", "float-k",
             "fractional-K", "string-K", "non-number-tau", "string-tau"])
     def test_a_bad_argument_is_rejected_before_any_matcher_call(self, override, message):
         inst = generate(SynthConfig(n_db=60, n_queries=20, dim=8, seed=570), k=5)

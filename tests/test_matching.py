@@ -242,6 +242,17 @@ class TestSubprocessProvider:
         with pytest.raises(MatcherExitError, match="exit status 3"):
             provider.get_inliers("q", "d", ("a", "b"))
 
+    def test_stderr_is_discarded_not_held_in_memory(self):
+        code = "import sys; sys.stderr.buffer.write(bytes(32 << 20)); print(7)"
+        provider = SubprocessProvider(_py_cmd(code), timeout=60)
+        tracemalloc.start()
+        try:
+            assert provider.get_inliers("q", "d") == 7
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # a captured stderr held all 32 MiB
+
     def test_unparseable_output(self):
         provider = SubprocessProvider(_py_cmd("print('no numbers here')"), timeout=30)
         with pytest.raises(MatcherOutputError):

@@ -14,7 +14,7 @@ from vprkit.rerank import (
 from vprkit.retrieval import Shortlist
 from vprkit.uncertainty import Estimator, LogisticModel, UncertaintyScore, u_inlier
 
-from conftest import AWKWARD_IDS, csv_bytes, inlier_table
+from conftest import AWKWARD_IDS, InvalidPairProvider, csv_bytes, inlier_table
 
 
 def shortlist(query_id, ids, distances=None):
@@ -119,6 +119,12 @@ class TestRerank:
         with pytest.raises(ValidationError):
             rerank(Shortlist("q", [], []), table_provider("q", {}))
 
+    def test_a_provider_validation_error_names_the_query(self):
+        inner = table_provider("q7", {"a": 3, "b": 9, "c": 4})
+        with pytest.raises(ValidationError) as err:
+            rerank(shortlist("q7", ["a", "b", "c"]), InvalidPairProvider(inner, ("q7", "b")))
+        assert str(err.value) == "query 'q7': cannot match (q7, b)"
+
 
 class TestAdaptiveRerank:
     def test_gate_fires_on_high_probability(self):
@@ -210,6 +216,15 @@ class TestAdaptiveRerank:
             provider.calls = 0
             assert out.ids() == ["b", "a", "c", "d"] and out.inliers == [9, 3, 1, None]
             assert [db_id for db_id, _ in out.diagnostics] == ["d"]
+
+    def test_a_fired_gate_names_the_query_in_a_provider_validation_error(self):
+        provider = InvalidPairProvider(table_provider("q7", {"a": 3, "b": 9, "c": 4}),
+                                       ("q7", "c"))
+        policy = GatePolicy(model=FEW_INLIERS_WRONG, threshold=0.5)  # 3 inliers: p ~ 1
+        with pytest.raises(ValidationError) as err:
+            adaptive_rerank(shortlist("q7", ["a", "b", "c"]), provider, policy,
+                            u_inlier("q7", "a", provider))
+        assert str(err.value) == "query 'q7': cannot match (q7, c)"
 
     def test_fired_set_shrinks_as_threshold_grows(self, rng):
         provider = table_provider("q", {})

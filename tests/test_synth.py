@@ -8,6 +8,7 @@ from vprkit.dataset import DistanceThreshold, haversine_many, load_split
 from vprkit.errors import ValidationError
 from vprkit.evaluation import evaluate_pipeline
 from vprkit.matching import TableProvider, load_inlier_table
+from vprkit.retrieval import build_index, search_all
 from vprkit.synth import SynthConfig, generate, write_instance
 
 from conftest import by_id
@@ -147,6 +148,47 @@ class TestGenerate:
                                [d.lat for d in truth], [d.lon for d in truth])
         broken = int(np.count_nonzero(dists > tau.tau))
         assert broken > 0
+
+    @pytest.mark.parametrize("config, gps_noise_m", [
+        (small_config(target_retrieval_r1=1.0), 0.0),
+        (small_config(target_retrieval_r1=0.0), 0.0),
+        (small_config(), 0.0),
+        (small_config(target_retrieval_r1=0.6, seed=21), 30.0),
+    ], ids=["hit-only", "miss-only", "mixed", "gps-noise"])
+    def test_query_blob_is_the_per_query_blend(self, config, gps_noise_m):
+        # the same draws in the same order, each query blended in its own branch
+        rng = np.random.default_rng(config.seed)
+        n_db, n_q, dim = config.n_db, config.n_queries, config.dim
+        if gps_noise_m > 0:
+            rng.normal(0.0, gps_noise_m, n_db), rng.normal(0.0, gps_noise_m, n_db)
+        db = rng.standard_normal((n_db, dim))
+        db = db / np.linalg.norm(db, axis=1, keepdims=True)
+        rng.uniform(0.0, 2.0 * math.pi, n_q), rng.uniform(1.0, 4.0, n_q)
+        order = rng.permutation(n_q)
+        hit = np.zeros(n_q, dtype=bool)
+        hit[order[:int(round(config.target_retrieval_r1 * n_q))]] = True
+        noise = rng.standard_normal((n_q, dim))
+        noise = noise / np.linalg.norm(noise, axis=1, keepdims=True)
+        want = np.empty((n_q, dim))
+        for i in range(n_q):
+            if hit[i]:
+                want[i] = 0.95 * db[i] + 0.31 * noise[i]
+            else:
+                j = int(rng.integers(0, n_db))
+                while j == i:
+                    j = int(rng.integers(0, n_db))
+                want[i] = 0.80 * db[j] + 0.55 * db[i] + 0.24 * noise[i]
+        want = want / np.linalg.norm(want, axis=1, keepdims=True)
+        inst = generate(config, k=10, gps_noise_m=gps_noise_m)
+        assert inst.queries.blob.rows.tobytes() == want.astype(np.float32).tobytes()
+        assert inst.db.blob.rows.tobytes() == db.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_with_two_rows_each_miss_retrieves_the_other_row(self, seed):
+        inst = generate(SynthConfig(n_db=2, n_queries=2, dim=64, target_retrieval_r1=0.0,
+                                    seed=seed), k=2)
+        shortlists = search_all(build_index(inst.db), inst.queries, 2)
+        assert [sl.db_ids[0] for sl in shortlists] == ["db_00001", "db_00000"]
 
 
 class TestWriteInstance:
