@@ -87,8 +87,8 @@ class Split:
         return len(self.records)
 
     def coords(self) -> np.ndarray:
-        """(n, 2) array of lat/lon in record order."""
-        return np.array([(r.lat, r.lon) for r in self.records], dtype=np.float64)
+        """(n, 2) array of lat/lon in record order, built with no list of n pairs."""
+        return np.fromiter(((r.lat, r.lon) for r in self.records), (float, 2), len(self.records))
 
 
 def read_manifest(path) -> list[GeoRecord]:

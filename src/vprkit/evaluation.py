@@ -12,6 +12,7 @@ in the format that ``_csvio`` owns.
 from __future__ import annotations
 
 import json
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -22,10 +23,12 @@ from .dataset import DistanceThreshold, Split, haversine_many
 from .errors import ValidationError, VprError, _check_int, _shown
 from .matching import MatcherProvider
 from .rerank import MISSING_KEY, GatePolicy, _check_threshold, inlier_keys
-from .retrieval import BLOCK_ROWS, build_index, search_all
+from .retrieval import Shortlist, _blocks, _check, build_index
 from .uncertainty import (
+    SUE_TOP,
     Estimator,
     LogisticModel,
+    UncertaintyScore,
     _inlier_score,
     compute_uncertainties,
     fit_logistic,
@@ -166,17 +169,16 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
     held-out split for anything else). Deterministic for fixed seed, at any
     ``workers`` degree; ``workers`` threads fetch the re-ranking inlier counts.
 
-    Every system is a permutation of the same shortlist positions: retrieval
-    reads one boolean queries x positions correctness matrix per tau, re-ranking
-    reads it permuted, and a fired query takes its re-ranked row of hits.
-    Re-ranking writes each shortlist's ``inlier_keys`` row, which asks
-    ``provider.get_inliers`` for every pair, into one queries x positions key
-    matrix and orders all queries with one stable argsort. The inlier
-    estimator reads each query's top-1 count from column 0 of that matrix,
-    so each pair is asked once; the others go through
-    ``compute_uncertainties``. Of a failed top-1 fetch only its error is
-    kept; when the inlier estimator is scored, the first one in query order
-    is raised, so the provider's own error names the pair.
+    One pass over blocks of BLOCK_ROWS queries: each is searched, labelled by
+    database row, re-ranked by one stable argsort of a block-sized matrix of
+    ``inlier_keys`` rows (one ``get_inliers`` per pair), scored, and dropped;
+    inlier scores read the top-1 counts from its column 0, the others go
+    through ``compute_uncertainties``. What outlives the blocks is O(n_q):
+    per tau each query's first-hit rank under retrieval and re-ranking, and
+    its scores. R@K counts first hits below K, a fired query's re-ranked.
+    The first failed top-1 fetch in query order is raised, when the inlier
+    estimator is scored, once every block is fetched, so a provider's
+    ``ValidationError`` in any block comes first.
     """
     workers = _check_int(workers, "workers", 1)
     if len(taus) == 0 or len(ks) == 0:
@@ -198,99 +200,98 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
     _check_threshold(gate_threshold)
     # a real gate's estimator is scored too, once, also when the report omits it
     gate_scored = () if gate_estimator == ORACLE_GATE else (gate_estimator,)
-    # a shortlist of one has no PA score (k < 1 is search_all's error)
+    # a shortlist of one has no PA score
     if Estimator.PA in (*estimators, *gate_scored) and min(k, len(db)) == 1:
         raise ValidationError("PA score needs at least 2 candidates, but each shortlist holds "
                               f"min(k, database size) = 1 (k = {k})")
 
-    shortlists = search_all(build_index(db), queries, k)
-    db_records = {r.id: r for r in db.records}
-    n_q = len(shortlists)
+    index = build_index(db)
+    _check(index, k, (queries.blob.dim,))
+    n_q, width = len(queries), min(k, len(index))  # every shortlist holds width candidates
+    records, db_coords, q_coords = db.records, db.coords(), queries.coords()
+    query_ids = [r.id for r in queries.records]
+    # u[est]: each query's score under each estimator scored
+    u = {est: np.empty(n_q) for est in dict.fromkeys((*estimators, *gate_scored))}
+    # first[tau]: each query's first-hit rank under retrieval and re-ranking; width: none
+    first = {tau: (np.empty(n_q, dtype=np.intp), np.empty(n_q, dtype=np.intp)) for tau in taus}
 
-    # correct[tau][i, j]: candidate j of query i lies within tau meters, as
-    # its threshold decides, labelled a block of query rows at a time to
-    # bound the temporaries
-    row = {r.id: i for i, r in enumerate(db.records)}
-    ids = (db_id for sl in shortlists for db_id in sl.db_ids)
-    cand_rows = np.fromiter(map(row.__getitem__, ids), dtype=np.intp).reshape(n_q, -1)
-    db_coords, q_coords = db.coords(), queries.coords()
-    correct = {tau: np.empty(cand_rows.shape, dtype=bool) for tau in taus}
-    for lo in range(0, n_q, BLOCK_ROWS):
-        cand = db_coords[cand_rows[lo:lo + BLOCK_ROWS]]
-        q = q_coords[lo:lo + BLOCK_ROWS, None, :]
+    def _block(run, lo: int, rows: np.ndarray, shortlists: list[Shortlist]) -> VprError | None:
+        """Fill the numbers of queries lo.. from one block, fetching through ``run``, a
+        ``map``; returns its first failed top-1 fetch, or None, and drops all else it made."""
+        fetched = list(run(lambda sl: inlier_keys(sl.query_id, sl.db_ids, provider), shortlists))
+        # keys[i, j]: the sort key of candidate j of the block's query i (rerank's rule)
+        keys = np.array([row for row, _ in fetched], dtype=np.int64)
+        rerank_order = np.argsort(keys, axis=1, kind="stable")
+        hi = lo + len(rows)
+        cand, q = db_coords[rows], q_coords[lo:hi, None, :]
         dists = haversine_many(q[..., 0], q[..., 1], cand[..., 0], cand[..., 1])
         for tau, threshold in zip(taus, thresholds):
-            correct[tau][lo:lo + BLOCK_ROWS] = threshold.within(dists)
-    del row, cand_rows
+            hit = threshold.within(dists)  # a candidate within tau meters
+            for ranks, h in zip(first[tau], (hit, np.take_along_axis(hit, rerank_order, axis=1))):
+                ranks[lo:hi] = np.where(h.any(axis=1), h.argmax(axis=1), width)
 
-    # keys[i, j]: the sort key of candidate j of query i (rerank's rule)
-    keys = np.empty(correct[taus[0]].shape, dtype=np.int64)
-    top1_errors: dict[int, VprError] = {}
+        # SUE reads the records of the first SUE_TOP candidates only
+        sue_records = ({records[i].id: records[i] for i in rows[:, :SUE_TOP].ravel().tolist()}
+                       if Estimator.SUE in u else None)
+        for est, est_u in u.items():
+            scores = ([_inlier_score(sl.query_id, -key)
+                       for sl, key in zip(shortlists, keys[:, 0].tolist())]
+                      if est is Estimator.INLIER else
+                      compute_uncertainties(shortlists, est, db_records=sue_records, seed=seed))
+            est_u[lo:hi] = [s.u for s in scores]
+        # a failed top-1 fetch is its query's first failure
+        return next((failed[0][1] for row, failed in fetched if row[0] == MISSING_KEY), None)
 
-    def _fetch(i: int) -> None:
-        """Fill row i of keys and query i's top-1 error; a pool thread writes only its own."""
-        keys[i], diagnostics = inlier_keys(shortlists[i].query_id, shortlists[i].db_ids, provider)
-        if keys[i, 0] == MISSING_KEY:  # a failed top-1 fetch is the first
-            top1_errors[i] = diagnostics[0][1]
-
-    if workers == 1:  # serial, so the default path starts no pool thread
-        for i in range(n_q):
-            _fetch(i)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(_fetch, range(n_q)))
-    rerank_order = np.argsort(keys, axis=1, kind="stable")
-    scored = dict.fromkeys((*estimators, *gate_scored))
-    if Estimator.INLIER in scored and top1_errors:
-        raise top1_errors[min(top1_errors)]
-    inlier_scores = [_inlier_score(sl.query_id, -key)
-                     for sl, key in zip(shortlists, keys[:, 0].tolist())]
-    del keys, top1_errors
-    scores_by_estimator = {est: inlier_scores if est is Estimator.INLIER else
-                           compute_uncertainties(shortlists, est, db_records=db_records, seed=seed)
-                           for est in scored}
-    del shortlists, db_records, inlier_scores  # the report reads none of them
+    with ExitStack() as stack:
+        run = map  # serial, so the default path starts no pool thread
+        if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor
+            run = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
+        top1_error = None
+        for block in _blocks(index, queries.blob.rows, query_ids, k):
+            error = _block(run, *block)
+            top1_error = top1_error or error  # the first in query order; all blocks are fetched
+    if Estimator.INLIER in u and top1_error is not None:
+        raise top1_error
 
     report = EvalReport(n_queries=n_q, k=k, ks=ks, taus=taus, seed=seed)
 
     for tau in report.taus:
         key = _tau_key(tau)
-        top1 = correct[tau][:, 0]
+        top1 = first[tau][0] == 0  # a correct top-1 is a first hit at rank 0
         report.correct_top1[key] = int(np.count_nonzero(top1))
         report.auprc[key] = {}
         report.pr_curves[key] = {}
         for est in estimators:
-            curve = pr_curve([(-s.u, c) for s, c in zip(scores_by_estimator[est], top1)])
+            curve = pr_curve(list(zip((-u[est]).tolist(), top1.tolist())))
             report.pr_curves[key][est.value] = [[r, p] for r, p in curve]
             report.auprc[key][est.value] = auprc(curve)
 
     # --- adaptive gating ------------------------------------------------
-    primary_top1 = correct[report.taus[0]][:, 0]
+    primary_top1 = first[report.taus[0]][0] == 0
     fitted_here = False
     if gate_estimator == ORACLE_GATE:
         fired = ~primary_top1
     else:
-        gate_scores = scores_by_estimator[gate_estimator]
+        gate_u = u[gate_estimator].tolist()
         fitted_here = gate_model is None
         if fitted_here:
-            gate_model = fit_logistic([(s.u, not c) for s, c in zip(gate_scores, primary_top1)])
+            gate_model = fit_logistic(list(zip(gate_u, (~primary_top1).tolist())))
         policy = GatePolicy(model=gate_model, threshold=gate_threshold, estimator=gate_estimator)
-        fired = np.array([policy.fires(s) for s in gate_scores])
+        fired = np.array([policy.fires(UncertaintyScore(query_id, gate_estimator, score))
+                          for query_id, score in zip(query_ids, gate_u)])
 
     report.gate_fired = int(np.count_nonzero(fired))
     report.gate = {"estimator": str(gate_estimator), "threshold": gate_threshold,
                    "fitted_here": fitted_here}
 
+    # R@K = #{first hit < K} / n_q; a K past the shortlist reads all of it
     for tau in report.taus:
-        key = _tau_key(tau)
-        report.recalls[key] = {}
-        rerank_hit = np.take_along_axis(correct[tau], rerank_order, axis=1)
-        hits = {"retrieval": correct[tau], "rerank": rerank_hit,
-                "adaptive": np.where(fired[:, None], rerank_hit, correct[tau])}
-        for system, hit in hits.items():
-            report.recalls[key][system] = {
-                str(kk): 100.0 * int(np.count_nonzero(hit[:, :kk].any(axis=1))) / n_q
-                for kk in report.ks
-            }
+        retrieval, reranked = first[tau]
+        firsts = {"retrieval": retrieval, "rerank": reranked,
+                  "adaptive": np.where(fired, reranked, retrieval)}
+        report.recalls[_tau_key(tau)] = {
+            system: {str(kk): 100.0 * int(np.count_nonzero(f < min(kk, width))) / n_q
+                     for kk in report.ks}
+            for system, f in firsts.items()}
     return report

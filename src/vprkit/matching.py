@@ -88,6 +88,11 @@ class MatcherProvider:
         raise NotImplementedError
 
 
+def _named(query_id: str, exc: ValidationError) -> ValidationError:
+    """A provider's ``ValidationError`` on a pair of ``query_id``, prefixed ``query 'ID': ``."""
+    return ValidationError(f"query {query_id!r}: {exc}")
+
+
 class TableProvider(MatcherProvider):
     """File-backed provider: pure lookups into an InlierTable."""
 

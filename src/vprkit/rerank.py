@@ -19,7 +19,7 @@ from typing import Iterable
 
 from ._csvio import _CsvCells
 from .errors import MatcherError, MissingPairError, ValidationError, _check_real
-from .matching import MatcherProvider
+from .matching import MatcherProvider, _named
 from .retrieval import Shortlist
 from .uncertainty import Estimator, LogisticModel, UncertaintyScore, _inlier_count, score_prob
 
@@ -99,7 +99,7 @@ def inlier_keys(query_id: str, db_ids: list[str], provider: MatcherProvider
             keys.append(MISSING_KEY)
             diagnostics.append((db_id, exc.with_traceback(None)))  # kept: drop its frames
         except ValidationError as exc:
-            raise ValidationError(f"query {query_id!r}: {exc}") from exc
+            raise _named(query_id, exc) from exc
     return keys, diagnostics
 
 

@@ -7,7 +7,9 @@ float32 GEMM screen over the split's own float32 rows, then an exact float64
 re-score of every row within 2E of the k-th screened distance, where
 E ≈ (d + 4)·2⁻²⁴·(max‖x‖ + ‖q‖)² is the forward error bound ``top_k`` derives
 (Higham, *Accuracy and Stability of Numerical Algorithms*, §3.1). Peak memory
-grows with the block, not with the number of queries.
+grows with the block, not with the number of queries. The private ``_blocks``
+yields each block's first position, ``top_k`` row matrix and shortlists:
+``search_all`` concatenates them, ``evaluate_pipeline`` holds one at a time.
 
 A shortlist is stored as columns, nearest first: a list of str ids and one
 float64 ``array('d')`` of distances, which keeps ``rerank``, ``uncertainty``
@@ -91,29 +93,26 @@ def _check(index: Index, k, query_shape: tuple[int, ...]) -> int:
     return k
 
 
-def _search_rows(index: Index, queries: np.ndarray, query_ids: list[str],
-                 k: int) -> list[Shortlist]:
-    """Shortlists for the rows of ``queries``, screened BLOCK_ROWS at a time.
-
-    A row with a NaN or an infinity is rejected, naming its query, before
-    its block reaches the GEMM.
-    """
+def _blocks(index: Index, queries: np.ndarray, query_ids: list[str], k: int):
+    """Search ``queries`` BLOCK_ROWS rows at a time, yielding each block's first position,
+    ``top_k`` row matrix and shortlists. A row with a NaN or an infinity is rejected,
+    naming its query, before the first block is searched."""
     import numpy as np
     from . import _kernels
-    shortlists = []
-    # one screen buffer for every block, so that blocks do not churn the heap
-    screen = np.empty((min(BLOCK_ROWS, len(query_ids)), len(index)), dtype=np.float32)
-    for lo in range(0, len(query_ids), BLOCK_ROWS):
-        block = np.asarray(queries[lo:lo + BLOCK_ROWS], dtype=np.float64)
-        finite = np.isfinite(block).all(axis=1)
+    starts = range(0, len(query_ids), BLOCK_ROWS)
+    for lo in starts:
+        finite = np.isfinite(queries[lo:lo + BLOCK_ROWS]).all(axis=1)
         if not finite.all():
             bad = query_ids[lo + int(np.argmin(finite))]
             raise ValidationError(f"query {bad!r}: descriptor has non-finite values")
+    # one screen buffer for every block, so that blocks do not churn the heap
+    screen = np.empty((min(BLOCK_ROWS, len(query_ids)), len(index)), dtype=np.float32)
+    for lo in starts:
+        block = np.asarray(queries[lo:lo + BLOCK_ROWS], dtype=np.float64)
         rows, sq = _kernels.top_k(index._vectors, index._sq_norms, block, k, screen)
-        for query_id, top, dists in zip(query_ids[lo:lo + BLOCK_ROWS], rows.tolist(), np.sqrt(sq)):
-            shortlists.append(Shortlist(query_id, [index.ids[i] for i in top],
-                                        array("d", dists.tobytes())))
-    return shortlists
+        block_ids = query_ids[lo:lo + BLOCK_ROWS]
+        yield lo, rows, [Shortlist(qid, [index.ids[i] for i in top], array("d", d.tobytes()))
+                         for qid, top, d in zip(block_ids, rows.tolist(), np.sqrt(sq))]
 
 
 def search(index: Index, query_descriptor: np.ndarray, k: int, query_id: str = "") -> Shortlist:
@@ -121,13 +120,15 @@ def search(index: Index, query_descriptor: np.ndarray, k: int, query_id: str = "
     import numpy as np
     q = np.asarray(query_descriptor, dtype=np.float64)
     k = _check(index, k, q.shape)
-    return _search_rows(index, q[None, :], [query_id], k)[0]
+    _, _, (shortlist,) = next(_blocks(index, q[None, :], [query_id], k))
+    return shortlist
 
 
 def search_all(index: Index, queries: Split, k: int) -> list[Shortlist]:
     """Shortlists for every record of a query split, in split order."""
     k = _check(index, k, (queries.blob.dim,))
-    return _search_rows(index, queries.blob.rows, [r.id for r in queries.records], k)
+    blocks = _blocks(index, queries.blob.rows, [r.id for r in queries.records], k)
+    return [sl for _, _, shortlists in blocks for sl in shortlists]
 
 
 def write_shortlists_csv(shortlists: list[Shortlist], path) -> None:

@@ -12,7 +12,7 @@ import pytest
 
 from vprkit import cli
 from vprkit.cli import main
-from vprkit.dataset import haversine_many
+from vprkit.dataset import DistanceThreshold, haversine_many, read_manifest
 from vprkit.matching import InlierTable, load_inlier_table, write_inlier_table
 from vprkit.retrieval import Shortlist, read_shortlists_csv, write_shortlists_csv
 from vprkit.uncertainty import (
@@ -23,7 +23,7 @@ from vprkit.uncertainty import (
     write_scores_csv,
 )
 
-from conftest import write_manifest_file
+from conftest import recall_at_k, write_manifest_file
 
 
 @pytest.fixture
@@ -140,6 +140,50 @@ class TestPipeline:
         run_ok(argv + ["--out", str(a)])
         run_ok(argv + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+def ranked_ids(path) -> dict[str, list[str]]:
+    """{query id: db ids in file order} of a shortlist, re-ranked or gated CSV."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = csv.reader(fh)
+        next(rows)
+        ranked: dict[str, list[str]] = {}
+        for row in rows:
+            ranked.setdefault(row[0], []).append(row[2])
+    return ranked
+
+
+# the README demo instance, where the fitted gate fires for no query, and one
+# with a weaker retrieval and a better matcher, where it fires for 250
+@pytest.mark.parametrize("target_r1, quality, fired", [("0.98", "0.85", 0), ("0.8", "0.9", 250)],
+                         ids=["readme-demo", "gate-fires"])
+def test_staged_chain_recalls_equal_evaluate_rows(target_r1, quality, fired, tmp_path, capsys):
+    d = tmp_path
+    run_ok(["synth", "--out-dir", str(d), "--n-db", "1500", "--n-queries", "1000", "--dim", "32",
+            "--target-r1", target_r1, "--matcher-quality", quality, "--seed", "1234"])
+    manifests = ["--db-manifest", str(d / "db.jsonl"), "--query-manifest", str(d / "queries.jsonl")]
+    splits = [*manifests, "--db-blob", str(d / "db.vprd"), "--query-blob", str(d / "queries.vprd")]
+    inliers, model = ["--inliers", str(d / "inliers.csv")], ["--model", str(d / "model.json")]
+    sl = ["--shortlists", str(d / "shortlists.csv")]
+    run_ok(["retrieve", *splits, "--k", "100", "--out", str(d / "shortlists.csv")])
+    run_ok(["rerank", *sl, *inliers, "--out", str(d / "reranked.csv")])
+    run_ok(["uncertainty", *sl, *inliers, "--out", str(d / "scores.csv")])
+    run_ok(["calibrate", "--scores", str(d / "scores.csv"), *sl, *manifests,
+            "--out", str(d / "model.json")])
+    run_ok(["gate", *sl, *inliers, *model, "--out", str(d / "gated.csv")])
+    assert f"gate fired for {fired}/1000 queries" in capsys.readouterr().out
+    run_ok(["evaluate", *splits, *inliers, *model, "--out", str(d / "report.json")])
+    report = json.loads((d / "report.json").read_text())
+    assert report["gate_fired"] == fired
+
+    queries = {r.id: r for r in read_manifest(d / "queries.jsonl")}
+    db = {r.id: r for r in read_manifest(d / "db.jsonl")}
+    for system, name in (("retrieval", "shortlists.csv"), ("rerank", "reranked.csv"),
+                         ("adaptive", "gated.csv")):
+        ranked = ranked_ids(d / name)
+        for kk in report["ks"]:
+            want = recall_at_k(ranked, queries, db, kk, DistanceThreshold(25.0))
+            assert report["recalls"]["25.0"][system][str(kk)] == want, (system, kk)
 
 
 class TestExitCodes:

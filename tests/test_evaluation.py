@@ -4,6 +4,7 @@ from collections import Counter
 import re
 import shlex
 import sys
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -22,7 +23,7 @@ from vprkit.evaluation import (
 )
 from vprkit.matching import MatcherProvider, SubprocessProvider, TableProvider
 from vprkit.rerank import GatePolicy, adaptive_rerank, rerank
-from vprkit.retrieval import build_index, search_all
+from vprkit.retrieval import BLOCK_ROWS, build_index, search_all
 from vprkit.synth import SynthConfig, generate
 from vprkit.uncertainty import Estimator, LogisticModel, fit_logistic, u_inlier
 
@@ -474,6 +475,26 @@ class TestEvaluateMatcherCost:
         assert provider.calls == len(shortlists) * k  # the gate's scores fetch nothing
 
 
+class TestEvaluateMemory:
+    def test_peak_above_the_inputs_does_not_grow_with_k(self):
+        # one block's shortlists, keys and labels at a time: what outlives the
+        # blocks is a few numbers per query, whatever the shortlist length. The
+        # larger k runs first, so the first call's one-time allocations are not
+        # mistaken for growth with k
+        peaks = []
+        for k in (100, 25):
+            inst = generate(SynthConfig(n_db=1000, n_queries=1000, dim=16, target_retrieval_r1=0.7,
+                                        matcher_quality=0.9, seed=1), k=k)
+            provider = TableProvider(inst.inliers)
+            tracemalloc.start()
+            try:
+                evaluate_pipeline(inst.db, inst.queries, provider, k=k)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
+
+
 class TestEvaluateMatchesPerQueryReference:
     def test_every_system_k_and_tau(self):
         k = 10
@@ -648,6 +669,23 @@ class TestEvaluateErrors:
                 evaluate_pipeline(inst.db, inst.queries, provider,
                                   k=5, ks=(1,), gate_estimator="oracle", workers=workers)
             assert str(err.value) == f"query {pair[0]!r}: cannot match ({pair[0]}, {pair[1]})"
+
+    def test_a_later_blocks_validation_error_wins_over_an_earlier_missing_top1(self):
+        # query 3's top-1 pair is missing, and a pair of query 35, in the second
+        # block, is invalid: a failed top-1 fetch is raised only once every
+        # block has been fetched, so the provider's ValidationError comes first
+        inst = generate(SynthConfig(n_db=60, n_queries=BLOCK_ROWS + 8, dim=8, seed=571), k=5)
+        shortlists = search_all(build_index(inst.db), inst.queries, 5)
+        missing = (shortlists[3].query_id, shortlists[3].db_ids[0])
+        invalid = (shortlists[35].query_id, shortlists[35].db_ids[2])
+        counts = {key: n for key, n in inst.inliers.counts.items() if key != missing}
+        for workers in (1, 2):
+            provider = InvalidPairProvider(TableProvider(inlier_table(counts)), invalid)
+            with pytest.raises(ValidationError) as err:
+                evaluate_pipeline(inst.db, inst.queries, provider, k=5, ks=(1,),
+                                  gate_estimator="oracle", workers=workers)
+            assert str(err.value) == (f"query {invalid[0]!r}: "
+                                      f"cannot match ({invalid[0]}, {invalid[1]})")
 
     def test_missing_lower_ranked_pair_sinks_in_rerank(self):
         base = (40.0, 9.0)

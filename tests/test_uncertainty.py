@@ -31,7 +31,7 @@ from vprkit.uncertainty import (
 )
 from vprkit.evaluation import auprc, pr_curve
 
-from conftest import AWKWARD_IDS, csv_bytes
+from conftest import AWKWARD_IDS, InvalidPairProvider, csv_bytes
 
 from conftest import inlier_table
 
@@ -195,6 +195,16 @@ class TestInlierUncertainty:
         provider = TableProvider(inlier_table({}))
         with pytest.raises(MissingPairError):
             u_inlier("q", "top", provider)
+
+    def test_a_provider_validation_error_names_the_query(self):
+        # the prefix rerank's inlier_keys gives it, on both ways to score the top-1 pair
+        provider = InvalidPairProvider(TableProvider(inlier_table({})), ("q7", "top"))
+        for score in (lambda: u_inlier("q7", "top", provider),
+                      lambda: compute_uncertainties([shortlist(("top", 0.5), query_id="q7")],
+                                                    Estimator.INLIER, provider=provider)):
+            with pytest.raises(ValidationError) as err:
+                score()
+            assert str(err.value) == "query 'q7': cannot match (q7, top)"
 
     @pytest.mark.parametrize("count, u", [(0, -0.0), (7, -7.0)])
     def test_a_count_round_trips_through_its_score(self, count, u):
