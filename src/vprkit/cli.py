@@ -240,13 +240,13 @@ def cmd_gate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     from .dataset import load_split
-    from .evaluation import evaluate_pipeline, write_pr_curves_csv
+    from .evaluation import ORACLE_GATE, evaluate_pipeline, write_pr_curves_csv
     db = load_split(args.db_manifest, args.db_blob)
     queries = load_split(args.query_manifest, args.query_blob)
     provider = TableProvider(load_inlier_table(args.inliers))
     report = evaluate_pipeline(
         db, queries, provider, k=args.k, taus=(args.tau,),
-        gate_estimator="oracle" if args.oracle_gate else args.estimator,
+        gate_estimator=ORACLE_GATE if args.oracle_gate else args.estimator,
         gate_threshold=args.threshold, gate_model=_read_model(args.model), seed=args.seed)
     sys.stdout.write(report.to_text())
     if args.out:

@@ -21,9 +21,9 @@ import numpy as np
 from ._csvio import _CsvCells
 from .dataset import DistanceThreshold, Split, haversine_many
 from .errors import ValidationError, VprError, _check_int, _shown
-from .matching import MatcherProvider
-from .rerank import MISSING_KEY, GatePolicy, _check_threshold, inlier_keys
-from .retrieval import Shortlist, _blocks, _check, build_index
+from .matching import MISSING_KEY, MatcherProvider, inlier_keys
+from .rerank import GatePolicy, _check_threshold
+from .retrieval import Shortlist, _blocks, build_index
 from .uncertainty import (
     SUE_TOP,
     Estimator,
@@ -206,7 +206,6 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
                               f"min(k, database size) = 1 (k = {k})")
 
     index = build_index(db)
-    _check(index, k, (queries.blob.dim,))
     n_q, width = len(queries), min(k, len(index))  # every shortlist holds width candidates
     records, db_coords, q_coords = db.records, db.coords(), queries.coords()
     query_ids = [r.id for r in queries.records]

@@ -4,7 +4,9 @@ The matcher itself (keypoints + RANSAC) always runs outside this package.
 Counts either come precomputed from a CSV table or from an external command
 invoked per pair. Absent pairs are a distinct outcome (MissingPairError) and
 never degrade to zero: zero inliers is itself a meaningful measurement.
-The inlier CSV is read and written in the format that ``_csvio`` owns.
+``inlier_keys`` applies that rule, and it is the package's one caller of
+``get_inliers``. The inlier CSV is read and written in the format that
+``_csvio`` owns.
 """
 
 from __future__ import annotations
@@ -88,9 +90,32 @@ class MatcherProvider:
         raise NotImplementedError
 
 
-def _named(query_id: str, exc: ValidationError) -> ValidationError:
-    """A provider's ``ValidationError`` on a pair of ``query_id``, prefixed ``query 'ID': ``."""
-    return ValidationError(f"query {query_id!r}: {exc}")
+MISSING_KEY = 1  # the sort key of a pair with no count; counts are >= 0, so it sorts last
+
+
+def inlier_keys(query_id: str, db_ids: list[str], provider: MatcherProvider
+                ) -> tuple[list[int], list[tuple[str, MissingPairError | MatcherError]]]:
+    """Fetch each (query_id, db_id) pair once, in ``db_ids`` order.
+
+    Returns the sort key of each pair, -count or ``MISSING_KEY`` where its
+    fetch raised ``MissingPairError`` or ``MatcherError``, and the
+    (db_id, error) of each failed fetch. A stable ascending sort of the keys
+    is the re-ranking order. A provider's ``ValidationError`` propagates
+    with the prefix ``query 'ID': ``, any other error as it was raised.
+    Every count the package reads is asked for here: ``rerank``,
+    ``adaptive_rerank``, ``u_inlier`` and ``evaluate_pipeline``.
+    """
+    keys: list[int] = []
+    diagnostics: list[tuple[str, MissingPairError | MatcherError]] = []
+    for db_id in db_ids:
+        try:
+            keys.append(-provider.get_inliers(query_id, db_id))
+        except (MissingPairError, MatcherError) as exc:
+            keys.append(MISSING_KEY)
+            diagnostics.append((db_id, exc.with_traceback(None)))  # kept: drop its frames
+        except ValidationError as exc:
+            raise ValidationError(f"query {query_id!r}: {exc}") from exc
+    return keys, diagnostics
 
 
 class TableProvider(MatcherProvider):

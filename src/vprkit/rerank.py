@@ -1,11 +1,11 @@
 """Inlier-count re-ranking and the adaptive per-query gate.
 
 Re-ranking permutes a shortlist (never adds or drops candidates), sorting by
-inlier count descending. Ties keep retrieval order; pairs whose count is
-unavailable sink below every counted pair, again in retrieval order, so
-absence of evidence never promotes a candidate. The result is stored as
-columns, like the shortlist it permutes, and written in the CSV format that
-``_csvio`` owns.
+inlier count descending. The counts are asked through ``matching.inlier_keys``
+and sorted here. Ties keep retrieval order; pairs whose count is unavailable
+sink below every counted pair, again in retrieval order, so absence of
+evidence never promotes a candidate. The result is stored as columns, like
+the shortlist it permutes, and written in the CSV format that ``_csvio`` owns.
 
 The adaptive gate spends matching effort only when the calibrated
 probability of wrong localization exceeds the policy threshold; otherwise
@@ -19,7 +19,7 @@ from typing import Iterable
 
 from ._csvio import _CsvCells
 from .errors import MatcherError, MissingPairError, ValidationError, _check_real
-from .matching import MatcherProvider, _named
+from .matching import MISSING_KEY, MatcherProvider, inlier_keys
 from .retrieval import Shortlist
 from .uncertainty import Estimator, LogisticModel, UncertaintyScore, _inlier_count, score_prob
 
@@ -73,34 +73,6 @@ class GatePolicy:
 
     def fires(self, score: UncertaintyScore) -> bool:
         return score_prob(self.model, score) > self.threshold
-
-
-MISSING_KEY = 1  # the sort key of a pair with no count; counts are >= 0, so it sorts last
-
-
-def inlier_keys(query_id: str, db_ids: list[str], provider: MatcherProvider
-                ) -> tuple[list[int], list[tuple[str, MissingPairError | MatcherError]]]:
-    """Fetch each (query_id, db_id) pair once, in ``db_ids`` order.
-
-    Returns the sort key of each pair, -count or ``MISSING_KEY`` where its
-    fetch raised ``MissingPairError`` or ``MatcherError``, and the
-    (db_id, error) of each failed fetch. A stable ascending sort of the keys
-    is the re-ranking order. A provider's ``ValidationError`` propagates
-    with the prefix ``query 'ID': ``, any other error as it was raised.
-    ``evaluate_pipeline`` reads its inlier scores from the top-1 keys;
-    ``adaptive_rerank`` leaves out the top-1 pair an inlier score holds.
-    """
-    keys: list[int] = []
-    diagnostics: list[tuple[str, MissingPairError | MatcherError]] = []
-    for db_id in db_ids:
-        try:
-            keys.append(-provider.get_inliers(query_id, db_id))
-        except (MissingPairError, MatcherError) as exc:
-            keys.append(MISSING_KEY)
-            diagnostics.append((db_id, exc.with_traceback(None)))  # kept: drop its frames
-        except ValidationError as exc:
-            raise _named(query_id, exc) from exc
-    return keys, diagnostics
 
 
 def _sorted(shortlist: Shortlist, keys: list[int],

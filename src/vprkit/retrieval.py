@@ -7,9 +7,11 @@ float32 GEMM screen over the split's own float32 rows, then an exact float64
 re-score of every row within 2E of the k-th screened distance, where
 E ≈ (d + 4)·2⁻²⁴·(max‖x‖ + ‖q‖)² is the forward error bound ``top_k`` derives
 (Higham, *Accuracy and Stability of Numerical Algorithms*, §3.1). Peak memory
-grows with the block, not with the number of queries. The private ``_blocks``
-yields each block's first position, ``top_k`` row matrix and shortlists:
-``search_all`` concatenates them, ``evaluate_pipeline`` holds one at a time.
+grows with the block, not with the number of queries. Every search goes
+through the private ``_blocks``: it checks ``k``, the query width and every
+row's finiteness, then yields each block's first position, ``top_k`` row
+matrix and shortlists. ``search`` takes its one block, ``search_all``
+concatenates them and ``evaluate_pipeline`` holds one at a time.
 
 A shortlist is stored as columns, nearest first: a list of str ids and one
 float64 ``array('d')`` of distances, which keeps ``rerank``, ``uncertainty``
@@ -84,21 +86,17 @@ def build_index(split: Split) -> Index:
     return Index(split)
 
 
-def _check(index: Index, k, query_shape: tuple[int, ...]) -> int:
-    """``k`` as an int; rejects a bad k and a query shape other than (index.dim,)."""
-    k = _check_int(k, "k", 1)
-    if query_shape != (index.dim,):
-        raise ValidationError(f"query dimension mismatch: query shape {query_shape}, "
-                              f"index dim {index.dim}")
-    return k
-
-
 def _blocks(index: Index, queries: np.ndarray, query_ids: list[str], k: int):
     """Search ``queries`` BLOCK_ROWS rows at a time, yielding each block's first position,
-    ``top_k`` row matrix and shortlists. A row with a NaN or an infinity is rejected,
-    naming its query, before the first block is searched."""
+    ``top_k`` row matrix and shortlists. A bad ``k``, a row shape other than (index.dim,)
+    and then a row with a NaN or an infinity, naming its query, are rejected in that
+    order before the first block is searched."""
     import numpy as np
     from . import _kernels
+    k = _check_int(k, "k", 1)
+    if queries.shape[1:] != (index.dim,):
+        raise ValidationError(f"query dimension mismatch: query shape {queries.shape[1:]}, "
+                              f"index dim {index.dim}")
     starts = range(0, len(query_ids), BLOCK_ROWS)
     for lo in starts:
         finite = np.isfinite(queries[lo:lo + BLOCK_ROWS]).all(axis=1)
@@ -119,14 +117,12 @@ def search(index: Index, query_descriptor: np.ndarray, k: int, query_id: str = "
     """Exact top-k search; returns min(k, db size) candidates."""
     import numpy as np
     q = np.asarray(query_descriptor, dtype=np.float64)
-    k = _check(index, k, q.shape)
-    _, _, (shortlist,) = next(_blocks(index, q[None, :], [query_id], k))
+    _, _, (shortlist,) = next(_blocks(index, q[None], [query_id], k))
     return shortlist
 
 
 def search_all(index: Index, queries: Split, k: int) -> list[Shortlist]:
     """Shortlists for every record of a query split, in split order."""
-    k = _check(index, k, (queries.blob.dim,))
     blocks = _blocks(index, queries.blob.rows, [r.id for r in queries.records], k)
     return [sl for _, _, shortlists in blocks for sl in shortlists]
 

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ._csvio import _CsvCells, line_error, read_rows, width_error
 from .errors import ValidationError, _check_real
-from .matching import MatcherProvider, _named
+from .matching import MatcherProvider, inlier_keys
 from .retrieval import Shortlist
 
 # the builtin that hashlib.blake2b always is; importing hashlib would load OpenSSL
@@ -178,12 +178,12 @@ def _inlier_count(score: UncertaintyScore) -> int:
 
 
 def u_inlier(query_id: str, top1_db_id: str, provider: MatcherProvider) -> UncertaintyScore:
-    """Negated inlier count of the top-1 pair; missing counts propagate, and a provider's
-    ``ValidationError`` gains the prefix ``query 'ID': ``."""
-    try:
-        return _inlier_score(query_id, provider.get_inliers(query_id, top1_db_id))
-    except ValidationError as exc:
-        raise _named(query_id, exc) from exc
+    """Negated inlier count of the top-1 pair, asked through ``inlier_keys``: a failed fetch
+    raises the provider's error, and a provider's ``ValidationError`` names the query."""
+    (key,), failed = inlier_keys(query_id, [top1_db_id], provider)
+    if failed:
+        raise failed[0][1]
+    return _inlier_score(query_id, -key)
 
 
 def compute_uncertainties(shortlists: Sequence[Shortlist], estimator: Estimator,

@@ -609,12 +609,17 @@ class TestEvaluateErrors:
         (dict(ks=(1, "5")), "k must be an integer, got '5'"),
         (dict(taus=("x",)), "tau must be a real number, got 'x'"),
         (dict(taus=(25.0, "25")), "tau must be a real number, got '25'"),
+        (dict(queries=make_split(np.zeros((4, 6)), prefix="q")),
+         "query dimension mismatch: query shape (6,), index dim 8"),
+        (dict(queries=make_split(np.zeros((4, 6)), prefix="q"), workers=2),
+         "query dimension mismatch: query shape (6,), index dim 8"),
     ], ids=["no-workers", "fractional-workers", "string-workers", "no-taus", "no-ks", "no-queries", "negative-tau", "nan-tau",
             "unknown-gate", "unknown-estimator", "unknown-after-a-member", "threshold-above-1",
             "threshold-0-with-model", "oracle-threshold-7", "oracle-with-model", "k-1-with-pa",
             "k-1-with-a-pa-gate", "repeated-tau", "repeated-k", "repeated-long-k",
             "fractional-k", "float-k",
-            "fractional-K", "string-K", "non-number-tau", "string-tau"])
+            "fractional-K", "string-K", "non-number-tau", "string-tau", "other-dim-queries",
+            "other-dim-queries-2-workers"])
     def test_a_bad_argument_is_rejected_before_any_matcher_call(self, override, message):
         inst = generate(SynthConfig(n_db=60, n_queries=20, dim=8, seed=570), k=5)
         provider = CountingProvider(TableProvider(inst.inliers))

@@ -134,6 +134,25 @@ class TestSearch:
         with pytest.raises(ValidationError, match="dimension"):
             search(build_index(split), unit_rows(rng, 1, 9)[0], 3)
 
+    @pytest.mark.parametrize("descriptor, shape", [
+        (np.float64(0.5), "()"), (np.zeros((2, 8)), "(2, 8)"), (np.zeros(6), "(6,)")],
+        ids=["0-d", "2-d", "other-dim"])
+    def test_a_query_of_another_shape_is_rejected_naming_it(self, rng, descriptor, shape):
+        index = build_index(make_split(unit_rows(rng, 5, 8)))
+        with pytest.raises(ValidationError) as err:
+            search(index, descriptor, 3)
+        assert str(err.value) == f"query dimension mismatch: query shape {shape}, index dim 8"
+        # k is checked first
+        with pytest.raises(ValidationError, match=re.escape("k must be >= 1, got 0")):
+            search(index, descriptor, 0)
+
+    def test_search_all_rejects_a_split_of_another_dim(self, rng):
+        index = build_index(make_split(unit_rows(rng, 5, 8)))
+        queries = make_split(unit_rows(rng, 3, 6), prefix="q")
+        with pytest.raises(ValidationError) as err:
+            search_all(index, queries, 3)
+        assert str(err.value) == "query dimension mismatch: query shape (6,), index dim 8"
+
     def test_matches_full_sort_oracle_exactly(self, rng):
         split = make_split(unit_rows(rng, 50, 8))
         index = build_index(split)

@@ -3,14 +3,22 @@ import json
 import math
 import re
 import statistics
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from vprkit import uncertainty
 from vprkit.dataset import GeoRecord
-from vprkit.errors import MissingPairError, ValidationError
-from vprkit.matching import TableProvider
+from vprkit.errors import (
+    MatcherError,
+    MatcherExitError,
+    MatcherOutputError,
+    MatcherTimeout,
+    MissingPairError,
+    ValidationError,
+)
+from vprkit.matching import MatcherProvider, TableProvider
 from vprkit.retrieval import Shortlist
 from vprkit.uncertainty import (
     Estimator,
@@ -197,7 +205,7 @@ class TestInlierUncertainty:
             u_inlier("q", "top", provider)
 
     def test_a_provider_validation_error_names_the_query(self):
-        # the prefix rerank's inlier_keys gives it, on both ways to score the top-1 pair
+        # the prefix matching.inlier_keys gives it, on both ways to score the top-1 pair
         provider = InvalidPairProvider(TableProvider(inlier_table({})), ("q7", "top"))
         for score in (lambda: u_inlier("q7", "top", provider),
                       lambda: compute_uncertainties([shortlist(("top", 0.5), query_id="q7")],
@@ -205,6 +213,39 @@ class TestInlierUncertainty:
             with pytest.raises(ValidationError) as err:
                 score()
             assert str(err.value) == "query 'q7': cannot match (q7, top)"
+
+    @pytest.mark.parametrize("error", [MatcherTimeout, MatcherExitError, MatcherOutputError,
+                                       MatcherError, RuntimeError])
+    @pytest.mark.parametrize("scored", ["u_inlier", "compute_uncertainties"])
+    def test_a_matcher_failure_on_the_top1_pair_propagates_as_raised(self, error, scored):
+        class FailingProvider(MatcherProvider):
+            """Raises ``error`` on query q2's top-1 pair, counting every call per pair."""
+
+            def __init__(self):
+                self.asked = Counter()
+                self.raised = None
+
+            def get_inliers(self, query_id, db_id):
+                self.asked[query_id, db_id] += 1
+                if (query_id, db_id) != ("q2", "top"):
+                    return 5
+                self.raised = (RuntimeError(f"matcher crashed on ({query_id}, {db_id})")
+                               if error is RuntimeError else error(query_id, db_id, "a reason"))
+                raise self.raised
+
+        provider = FailingProvider()
+        shortlists = [shortlist(("top", 0.5), ("next", 0.7), query_id=f"q{i}") for i in range(3)]
+        with pytest.raises(error) as err:
+            if scored == "u_inlier":
+                u_inlier("q2", "top", provider)
+            else:
+                compute_uncertainties(shortlists, Estimator.INLIER, provider=provider)
+        assert err.value is provider.raised and type(err.value) is error
+        assert str(err.value) == ("matcher crashed on (q2, top)" if error is RuntimeError else
+                                  "matcher failed for (q2, top): a reason")
+        # one call per query scored, for its top-1 pair
+        queries = ["q2"] if scored == "u_inlier" else ["q0", "q1", "q2"]
+        assert provider.asked == Counter({(q, "top"): 1 for q in queries})
 
     @pytest.mark.parametrize("count, u", [(0, -0.0), (7, -7.0)])
     def test_a_count_round_trips_through_its_score(self, count, u):
