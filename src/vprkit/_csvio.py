@@ -2,10 +2,10 @@
 
 A file is UTF-8, excel dialect: a fixed header row, then rows ended by
 ``\\r\\n``. Writers build each group of rows as one string from ``_CsvCells``,
-so a file is byte for byte what ``csv.writer`` writes. Readers loop over the
-``csv.reader`` that ``read_rows`` returns and name a bad row by the physical
-line it ends on, since a quoted id may span lines. This is the only module
-that imports ``csv``, and it loads no numpy.
+so a file is byte for byte what ``csv.writer`` writes. A reader raises
+``_RowError`` with a bare message about a row; ``read_rows`` alone names a bad
+row, by its file and the physical line it ends on (a quoted id may span lines).
+This is the only module that imports ``csv``, and it loads no numpy.
 """
 
 from __future__ import annotations
@@ -28,23 +28,29 @@ class _CsvCells(dict):
         return self.setdefault(value, value if text == value else text)
 
 
+class _RowError(Exception):
+    """A reader's message about the row ``read_rows`` gave it last."""
+
+
+def _of_width(reader, width: int):
+    for row in reader:
+        if len(row) != width:
+            raise _RowError(f"expected {width} fields, got {len(row)}")
+        yield row
+
+
 @contextmanager
 def read_rows(path, header: list[str], kind: str):
-    """Open ``path`` and give its ``csv.reader`` past a header row equal to ``header``;
-    any other first row is an error naming the file as a ``kind`` CSV."""
+    """Open ``path`` and give its rows past a header equal to ``header``, each as wide as it.
+    Another header, another width, a ``_RowError``, a parse or a UTF-8 error name ``path``."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        found = next(reader, None)
-        if found != header:
-            raise ValidationError(f"{path}: unexpected {kind} CSV header {found}")
-        yield reader
-
-
-def line_error(path, reader, message: str) -> ValidationError:
-    """``message`` about the row ``reader`` gave last, naming the physical line it ends on."""
-    return ValidationError(f"{path}: line {reader.line_num}: {message}")
-
-
-def width_error(path, reader, row: list[str], width: int) -> ValidationError:
-    """The error for a row of other than ``width`` fields."""
-    return line_error(path, reader, f"expected {width} fields, got {len(row)}")
+        try:
+            found = next(reader, None)
+            if found != header:
+                raise ValidationError(f"{path}: unexpected {kind} CSV header {found}")
+            yield _of_width(reader, len(header))
+        except (_RowError, csv.Error) as exc:
+            raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:  # met a chunk ahead of the rows read, so it has no line
+            raise ValidationError(f"{path}: not a UTF-8 file") from None

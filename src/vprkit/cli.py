@@ -182,6 +182,8 @@ def _read_model(path) -> LogisticModel | None:
             return LogisticModel.from_json(fh.read())
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
+        except UnicodeDecodeError:
+            raise ValidationError(f"{path}: not a UTF-8 file") from None
 
 
 def cmd_uncertainty(args) -> int:

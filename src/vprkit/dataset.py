@@ -95,11 +95,14 @@ def read_manifest(path) -> list[GeoRecord]:
     """Parse a JSONL manifest; line order defines each record's blob row."""
     records: list[GeoRecord] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    # a byte that is not UTF-8 becomes a lone surrogate, so its line can be named
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            if not line.isascii() and any("\udc80" <= c <= "\udcff" for c in line):
+                raise ValidationError(f"{path}: line {lineno}: not UTF-8")
             try:
                 obj = json.loads(line)
             except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep

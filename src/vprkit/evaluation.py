@@ -275,6 +275,11 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
         gate_u = u[gate_estimator].tolist()
         fitted_here = gate_model is None
         if fitted_here:
+            if primary_top1.all() or not primary_top1.any():  # one class: nothing to fit
+                raise ValidationError(
+                    f"{'every' if primary_top1.all() else 'no'} top-1 result is correct at "
+                    f"tau = {report.taus[0]:g} m, so no gate can be fitted here; "
+                    "a gate model or the oracle gate is needed")
             gate_model = fit_logistic(list(zip(gate_u, (~primary_top1).tolist())))
         policy = GatePolicy(model=gate_model, threshold=gate_threshold, estimator=gate_estimator)
         fired = np.array([policy.fires(UncertaintyScore(query_id, gate_estimator, score))

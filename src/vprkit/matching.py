@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ._csvio import _CsvCells, line_error, read_rows, width_error
+from ._csvio import _CsvCells, _RowError, read_rows
 from .errors import (
     MatcherError,
     MatcherExitError,
@@ -54,21 +54,18 @@ def load_inlier_table(path) -> InlierTable:
     rows: dict[str, dict[str, int]] = {}
     db_names: dict[str, str] = {}  # one string object per distinct db id
     last_qid, query_row = None, {}
-    with read_rows(path, INLIER_CSV_HEADER, "inlier") as reader:
-        for row in reader:
-            if len(row) != 3:
-                raise width_error(path, reader, row, 3)
-            qid, db_id, raw = row
+    with read_rows(path, INLIER_CSV_HEADER, "inlier") as csv_rows:
+        for qid, db_id, raw in csv_rows:
             try:
                 count = int(raw)
             except ValueError:
-                raise line_error(path, reader, f"inlier count {raw!r} is not an integer") from None
+                raise _RowError(f"inlier count {raw!r} is not an integer") from None
             if count < 0:
-                raise line_error(path, reader, f"negative inlier count {count}")
+                raise _RowError(f"negative inlier count {count}")
             if qid != last_qid:
                 last_qid, query_row = qid, rows.setdefault(qid, {})
             if db_id in query_row:
-                raise line_error(path, reader, f"duplicate pair ({qid}, {db_id})")
+                raise _RowError(f"duplicate pair ({qid}, {db_id})")
             query_row[db_names.setdefault(db_id, db_id)] = count
     return InlierTable(rows=rows)
 

@@ -49,9 +49,6 @@ class RerankedShortlist:
                 f"inlier counts and {len(self.original_ranks)} original ranks"
             )
 
-    def ids(self) -> list[str]:
-        return list(self.db_ids)
-
 
 def _check_threshold(threshold: float) -> None:
     """Raise unless ``threshold`` is a gate probability strictly inside (0, 1)."""

@@ -26,7 +26,7 @@ from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ._csvio import _CsvCells, line_error, read_rows, width_error
+from ._csvio import _CsvCells, _RowError, read_rows
 from .errors import ValidationError, _check_int
 
 if TYPE_CHECKING:
@@ -143,18 +143,15 @@ def read_shortlists_csv(path) -> list[Shortlist]:
     a query's rows may come in any order, but its ranks must be exactly 1..n."""
     columns: dict[str, tuple[list[int], list[str], array]] = {}
     db_names: dict[str, str] = {}  # one string object per distinct db id
-    with read_rows(path, ["query_id", "rank", "db_id", "distance"], "shortlist") as reader:
-        for row in reader:
-            if len(row) != 4:
-                raise width_error(path, reader, row, 4)
-            qid, rank_s, db_id, dist_s = row
+    with read_rows(path, ["query_id", "rank", "db_id", "distance"], "shortlist") as rows:
+        for qid, rank_s, db_id, dist_s in rows:
             try:
                 rank = int(rank_s)
                 dist = float(dist_s)
             except ValueError:
-                raise line_error(path, reader, "bad rank or distance") from None
+                raise _RowError("bad rank or distance") from None
             if rank < 1 or not dist >= 0:  # NaN fails every comparison
-                raise line_error(path, reader, "rank/distance out of range")
+                raise _RowError("rank/distance out of range")
             cols = columns.get(qid)
             if cols is None:
                 cols = columns[qid] = ([], [], array("d"))

@@ -28,7 +28,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from ._csvio import _CsvCells, line_error, read_rows, width_error
+from ._csvio import _CsvCells, _RowError, read_rows
 from .errors import ValidationError, _check_real
 from .matching import MatcherProvider, inlier_keys
 from .retrieval import Shortlist
@@ -312,18 +312,15 @@ def write_scores_csv(scores: Iterable[UncertaintyScore], path,
 
 def read_scores_csv(path) -> list[UncertaintyScore]:
     scores: dict[tuple[str, Estimator], UncertaintyScore] = {}
-    with read_rows(path, ["query_id", "estimator", "u", "prob"], "scores") as reader:
-        for row in reader:
-            if len(row) != 4:
-                raise width_error(path, reader, row, 4)
-            qid, est, u_s, _prob = row
+    with read_rows(path, ["query_id", "estimator", "u", "prob"], "scores") as rows:
+        for qid, est, u_s, _prob in rows:
             try:
                 score = UncertaintyScore(qid, Estimator(est), float(u_s))
             except ValueError:
-                raise line_error(path, reader, "bad estimator or u value") from None
+                raise _RowError("bad estimator or u value") from None
             if not math.isfinite(score.u):
-                raise line_error(path, reader, f"non-finite u value {u_s!r}")
+                raise _RowError(f"non-finite u value {u_s!r}")
             if (qid, score.estimator) in scores:
-                raise line_error(path, reader, f"duplicate score ({qid}, {est})")
+                raise _RowError(f"duplicate score ({qid}, {est})")
             scores[qid, score.estimator] = score
     return list(scores.values())

@@ -37,6 +37,28 @@ def csv_bytes(rows) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
+# each file that every per-record CSV reader must reject naming it, with the message
+# after "PATH: ": a byte that is not UTF-8 in the header; the same in a row past the
+# first chunk the decoder reads, so no line can be named; and an unbalanced quote
+# that runs past csv's field limit
+UNREADABLE_CSV = {
+    "non-utf8-header": "not a UTF-8 file",
+    "non-utf8-row": "not a UTF-8 file",
+    "quote-past-field-limit": "line 2002: field larger than field limit (131072)",
+}
+
+
+def unreadable_csv(case: str, header: str, row: str) -> bytes:
+    """The bytes of an ``UNREADABLE_CSV`` case: ``header``, 2000 rows from the ``row``
+    template with ``{i}`` the row's number, then the bad line."""
+    if case == "non-utf8-header":
+        return b"\xff" + header.encode() + b"\r\n"
+    good = "".join(f"{line}\r\n" for line in [header] + [row.format(i=i) for i in range(2000)])
+    if case == "non-utf8-row":
+        return good.encode() + b"\xff" + row.format(i=2000).encode() + b"\r\n"
+    return good.encode() + b'q,"' + b"x" * 200_000 + b"\r\n"
+
+
 def write_blob_file(path, rows, count=None, dim=None):
     rows = np.asarray(rows, dtype="<f4")
     count = rows.shape[0] if count is None else count

@@ -81,7 +81,7 @@ def test_02_upper_bound_recall_is_invariant_under_rerank():
         reranked = rerank(sl, TableProvider(inlier_table(counts)))
         tau = DistanceThreshold(float(rng.uniform(5, 100)))
         before = recall_at_k({"q": sl.ids()}, {"q": query}, db, n, tau)
-        after = recall_at_k({"q": reranked.ids()}, {"q": query}, db, n, tau)
+        after = recall_at_k({"q": reranked.db_ids}, {"q": query}, db, n, tau)
         assert before == after  # bit-identical
     ok(2, "Recall@|shortlist| bit-identical before/after rerank over 1000 cases")
 
@@ -97,8 +97,8 @@ def test_03_seven_vs_twentysix_inlier_inversion():
     tau = DistanceThreshold(25.0)
     assert recall_at_k({"q": sl.ids()}, {"q": query}, db, 1, tau) == 100.0
     reranked = rerank(sl, provider)
-    assert reranked.ids() == ["bad", "good"]
-    assert recall_at_k({"q": reranked.ids()}, {"q": query}, db, 1, tau) == 0.0
+    assert reranked.db_ids == ["bad", "good"]
+    assert recall_at_k({"q": reranked.db_ids}, {"q": query}, db, 1, tau) == 0.0
     ok(3, "7-inlier positive loses rank 1 to 26-inlier negative; R@1 100% -> 0%")
 
 
@@ -231,10 +231,10 @@ def test_10_gate_endpoints_and_threshold_nesting():
     for sl in shortlists:
         closed = adaptive_rerank(sl, provider, never, scores[sl.query_id])
         assert not closed.gate_fired
-        assert closed.ids() == sl.ids()
+        assert closed.db_ids == sl.ids()
         opened = adaptive_rerank(sl, provider, always, scores[sl.query_id])
         assert opened.gate_fired
-        assert opened.ids() == rerank(sl, provider).ids()
+        assert opened.db_ids == rerank(sl, provider).db_ids
 
     previous = None
     for threshold in np.linspace(0.02, 0.98, 20):

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +14,7 @@ import pytest
 from vprkit import cli
 from vprkit.cli import main
 from vprkit.dataset import DistanceThreshold, haversine_many, read_manifest
+from vprkit.errors import ValidationError
 from vprkit.matching import InlierTable, load_inlier_table, write_inlier_table
 from vprkit.retrieval import Shortlist, read_shortlists_csv, write_shortlists_csv
 from vprkit.uncertainty import (
@@ -23,7 +25,7 @@ from vprkit.uncertainty import (
     write_scores_csv,
 )
 
-from conftest import recall_at_k, write_manifest_file
+from conftest import recall_at_k, unreadable_csv, write_manifest_file
 
 
 @pytest.fixture
@@ -321,6 +323,84 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {manifest}: malformed JSON on line 2: ")
         assert not (tmp_path / "s.csv").exists()
+
+
+    def test_a_manifest_byte_that_is_not_utf8_is_one(self, instance_dir, tmp_path, capsys):
+        manifest = tmp_path / "db.jsonl"
+        lines = (instance_dir / "db.jsonl").read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b'"id": "', b'"id": "\xff', 1)
+        manifest.write_bytes(b"\n".join(lines))
+        code = main(["retrieve", "--db-manifest", str(manifest),
+                     "--db-blob", str(instance_dir / "db.vprd"),
+                     "--query-manifest", str(instance_dir / "queries.jsonl"),
+                     "--query-blob", str(instance_dir / "queries.vprd"),
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {manifest}: line 3: not UTF-8\n"
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_a_model_byte_that_is_not_utf8_is_one(self, instance_dir, tmp_path, capsys):
+        shortlists = tmp_path / "s.csv"
+        retrieve_to(instance_dir, shortlists, 5)
+        model = tmp_path / "model.json"
+        model.write_bytes(b'{"w": 1.0, "b": 0.0, "mean": 0.0, "std": 1.0, "note": "\xff"}\n')
+        with pytest.raises(ValidationError, match=re.escape(f"{model}: not a UTF-8 file") + "$"):
+            cli._read_model(model)
+        code = main(["gate", "--shortlists", str(shortlists),
+                     "--inliers", str(instance_dir / "inliers.csv"),
+                     "--model", str(model), "--out", str(tmp_path / "g.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {model}: not a UTF-8 file\n"
+        assert not (tmp_path / "g.csv").exists()
+
+    def test_an_unreadable_csv_exits_1_without_a_traceback(self, instance_dir, tmp_path):
+        # the console path end to end, in its own process: a file the csv module or
+        # the UTF-8 decoder cannot read is an error line naming it, never a traceback
+        shortlists = tmp_path / "s.csv"
+        retrieve_to(instance_dir, shortlists, 5)
+        bad = {name: tmp_path / f"bad_{name}.csv" for name in ("shortlists", "inliers", "scores")}
+        bad["shortlists"].write_bytes(shortlists.read_bytes().replace(b"q", b"\xffq", 1))
+        bad["inliers"].write_bytes(unreadable_csv(
+            "quote-past-field-limit", "query_id,db_id,inliers", "q{i},d1,3"))
+        bad["scores"].write_bytes(unreadable_csv(
+            "non-utf8-row", "query_id,estimator,u,prob", "q{i},l2,0.5,"))
+        inliers, out = str(instance_dir / "inliers.csv"), str(tmp_path / "out.csv")
+        src = Path(__file__).resolve().parents[1] / "src"
+        for name, argv in (
+                ("shortlists", ["rerank", "--shortlists", str(bad["shortlists"]),
+                                "--inliers", inliers, "--out", out]),
+                ("inliers", ["rerank", "--shortlists", str(shortlists),
+                             "--inliers", str(bad["inliers"]), "--out", out]),
+                ("scores", ["calibrate", "--scores", str(bad["scores"]),
+                            "--shortlists", str(shortlists),
+                            "--query-manifest", str(instance_dir / "queries.jsonl"),
+                            "--db-manifest", str(instance_dir / "db.jsonl"), "--out", out])):
+            proc = subprocess.run([sys.executable, "-m", "vprkit.cli", *argv],
+                                  env=dict(os.environ, PYTHONPATH=str(src)),
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 1, name
+            assert proc.stderr.startswith(f"error: {bad[name]}: "), name
+            assert "Traceback" not in proc.stderr, name
+        assert not Path(out).exists()
+
+    def test_evaluate_on_a_saturated_instance_says_what_is_needed(self, tmp_path, capsys):
+        d = tmp_path / "sat"
+        run_ok(["synth", "--out-dir", str(d), "--n-db", "200", "--n-queries", "50",
+                "--dim", "16", "--k", "10", "--target-r1", "1.0", "--seed", "3"])
+        model = tmp_path / "model.json"
+        model.write_text(LogisticModel(w=1.0, b=0.0, mean=0.0, std=1.0).to_json())
+        argv = ["evaluate", "--db-manifest", str(d / "db.jsonl"), "--db-blob", str(d / "db.vprd"),
+                "--query-manifest", str(d / "queries.jsonl"),
+                "--query-blob", str(d / "queries.vprd"), "--inliers", str(d / "inliers.csv"),
+                "--k", "10"]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: every top-1 result is correct at tau = 25 m, so no gate can be fitted "
+            "here; a gate model or the oracle gate is needed\n")
+        for gate in (["--oracle-gate"], ["--model", str(model)]):
+            run_ok(argv + gate)
+            assert "correct top-1: 50 " in capsys.readouterr().out
 
 
 def test_gate_loads_inlier_table_once(instance_dir, tmp_path, monkeypatch):

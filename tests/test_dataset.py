@@ -80,6 +80,22 @@ class TestLoadSplit:
                            match=re.escape(f"{manifest}: malformed JSON on line 2: ")):
             read_manifest(manifest)
 
+    @pytest.mark.parametrize("lineno", [1, 2000], ids=["first-line", "past-the-first-chunk"])
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path, lineno):
+        manifest = tmp_path / "m.jsonl"
+        lines = [json.dumps({"id": f"r{i}", "lat": 0.0, "lon": 0.0}).encode()
+                 for i in range(2001)]
+        lines[lineno - 1] = lines[lineno - 1].replace(b"r", b"r\xff", 1)
+        lines[lineno] = json.dumps({"id": "h\u00e9llo", "lat": 0.0, "lon": 0.0},
+                                   ensure_ascii=False).encode()  # UTF-8 is fine
+        manifest.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{manifest}: line {lineno}: not UTF-8") + "$"):
+            read_manifest(manifest)
+        lines[lineno - 1] = lines[lineno - 1].replace(b"\xff", b"")
+        manifest.write_bytes(b"\n".join(lines) + b"\n")
+        assert read_manifest(manifest)[lineno].id == "h\u00e9llo"
+
     def test_missing_field_reports_number(self, tmp_path):
         manifest = tmp_path / "m.jsonl"
         write_manifest_file(manifest, [("a", 0.0, 0.0), {"id": "b", "lat": 1.0}])

@@ -268,7 +268,7 @@ class TestEvaluatePipeline:
         counts = {key: n for i, (key, n) in enumerate(inst.inliers.counts.items()) if i % 3}
         provider = TableProvider(inlier_table(counts))
         shortlists = search_all(build_index(inst.db), inst.queries, 20)
-        reranked = {sl.query_id: rerank(sl, provider).ids() for sl in shortlists}
+        reranked = {sl.query_id: rerank(sl, provider).db_ids for sl in shortlists}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -427,8 +427,8 @@ class TestEvaluateMatcherCost:
         fired = 0
         for sl, u in zip(shortlists, scores):
             out = adaptive_rerank(sl, provider, policy, u)
-            expected = rerank(sl, provider).ids() if out.gate_fired else sl.ids()
-            assert out.ids() == expected
+            expected = rerank(sl, provider).db_ids if out.gate_fired else sl.ids()
+            assert out.db_ids == expected
             fired += out.gate_fired
         assert fired == report.gate_fired
 
@@ -445,7 +445,7 @@ class TestEvaluateMatcherCost:
         assert provider.calls == len(provider.asked) == len(shortlists) + (k - 1) * fired
         table = TableProvider(inst.inliers)
         for sl, out in zip(shortlists, outs):
-            assert out.ids() == (rerank(sl, table).ids() if out.gate_fired else sl.ids())
+            assert out.db_ids == (rerank(sl, table).db_ids if out.gate_fired else sl.ids())
 
     def test_inlier_scores_are_u_inlier_bit_for_bit(self, monkeypatch):
         inst, shortlists, scores, _ = gated_instance()
@@ -507,8 +507,8 @@ class TestEvaluateMatchesPerQueryReference:
                                    gate_threshold=policy.threshold)
         systems = {
             "retrieval": {sl.query_id: sl.ids() for sl in shortlists},
-            "rerank": {sl.query_id: rerank(sl, provider).ids() for sl in shortlists},
-            "adaptive": {sl.query_id: adaptive_rerank(sl, provider, policy, u).ids()
+            "rerank": {sl.query_id: rerank(sl, provider).db_ids for sl in shortlists},
+            "adaptive": {sl.query_id: adaptive_rerank(sl, provider, policy, u).db_ids
                          for sl, u in zip(shortlists, scores)},
         }
         for tau in taus:
@@ -691,6 +691,26 @@ class TestEvaluateErrors:
                                   gate_estimator="oracle", workers=workers)
             assert str(err.value) == (f"query {invalid[0]!r}: "
                                       f"cannot match ({invalid[0]}, {invalid[1]})")
+
+    @pytest.mark.parametrize("target_r1, which, estimators", [(1.0, "every", tuple(Estimator)),
+                                                             (0.0, "no", ())])
+    def test_a_gate_fitted_on_one_outcome_says_what_is_needed(self, target_r1, which,
+                                                               estimators):
+        # the saturated regime: every top-1 result is correct, so no gate can be fitted
+        # here, while the oracle gate and a given model still report
+        inst = generate(SynthConfig(n_db=200, n_queries=50, dim=16, matcher_quality=0.85,
+                                    target_retrieval_r1=target_r1, seed=3), k=10)
+        provider = TableProvider(inst.inliers)
+        with pytest.raises(ValidationError) as err:
+            evaluate_pipeline(inst.db, inst.queries, provider, k=10, estimators=estimators)
+        assert str(err.value) == (f"{which} top-1 result is correct at tau = 25 m, so no gate "
+                                  "can be fitted here; a gate model or the oracle gate is needed")
+        model = LogisticModel(w=1.0, b=0.0, mean=0.0, std=1.0)
+        for gate in (dict(gate_estimator="oracle"), dict(gate_model=model)):
+            report = evaluate_pipeline(inst.db, inst.queries, provider, k=10,
+                                       estimators=estimators, **gate)
+            assert report.correct_top1 == {"25.0": 50 if target_r1 else 0}
+            assert not report.gate["fitted_here"]
 
     def test_missing_lower_ranked_pair_sinks_in_rerank(self):
         base = (40.0, 9.0)

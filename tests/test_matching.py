@@ -24,7 +24,7 @@ from vprkit.matching import (
     write_inlier_table,
 )
 
-from conftest import AWKWARD_IDS, csv_bytes, inlier_table
+from conftest import AWKWARD_IDS, UNREADABLE_CSV, csv_bytes, inlier_table, unreadable_csv
 
 
 def write_csv(path, rows, header="query_id,db_id,inliers"):
@@ -88,6 +88,14 @@ class TestInlierTable:
         with open(path, "a", newline="") as fh:
             fh.write(row + "\r\n")
         with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}") + "$"):
+            load_inlier_table(path)
+
+    @pytest.mark.parametrize("case", UNREADABLE_CSV)
+    def test_an_unreadable_file_is_rejected_naming_it(self, tmp_path, case):
+        path = tmp_path / "i.csv"
+        path.write_bytes(unreadable_csv(case, "query_id,db_id,inliers", "q{i},d1,3"))
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{path}: {UNREADABLE_CSV[case]}") + "$"):
             load_inlier_table(path)
 
     def test_bad_header_rejected(self, tmp_path):

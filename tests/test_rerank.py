@@ -58,14 +58,14 @@ class TestRerank:
         sl = shortlist("q", ["correct", "wrong"])
         provider = table_provider("q", {"correct": 7, "wrong": 26})
         out = rerank(sl, provider)
-        assert out.ids() == ["wrong", "correct"]
+        assert out.db_ids == ["wrong", "correct"]
         assert out.inliers == [26, 7]
         assert out.original_ranks == [2, 1]
 
     def test_equal_counts_keep_retrieval_order(self):
         sl = shortlist("q", ["a", "b", "c"])
         out = rerank(sl, table_provider("q", {"a": 5, "b": 5, "c": 5}))
-        assert out.ids() == ["a", "b", "c"]
+        assert out.db_ids == ["a", "b", "c"]
 
     def test_matches_stable_sort_oracle(self, rng):
         for trial in range(100):
@@ -75,7 +75,7 @@ class TestRerank:
             sl = shortlist("q", ids)
             out = rerank(sl, table_provider("q", counts))
             want = oracle_stable_sort([(i, counts[i], r + 1) for r, i in enumerate(ids)])
-            assert out.ids() == [i for i, _, _ in want]
+            assert out.db_ids == [i for i, _, _ in want]
 
     def test_order_equals_the_tuple_key_with_ties_and_missing(self, rng):
         # the (missing, -count, position) key rerank sorted by before its
@@ -94,7 +94,7 @@ class TestRerank:
     def test_missing_pairs_sink_below_counted(self):
         sl = shortlist("q", ["a", "b", "c", "d"])
         out = rerank(sl, table_provider("q", {"b": 1, "d": 3}))
-        assert out.ids() == ["d", "b", "a", "c"]
+        assert out.db_ids == ["d", "b", "a", "c"]
         assert out.inliers == [3, 1, None, None]
         assert {db for db, _ in out.diagnostics} == {"a", "c"}
         for db_id, err in out.diagnostics:
@@ -105,7 +105,7 @@ class TestRerank:
     def test_zero_count_beats_missing(self):
         sl = shortlist("q", ["a", "b"])
         out = rerank(sl, table_provider("q", {"b": 0}))
-        assert out.ids() == ["b", "a"]
+        assert out.db_ids == ["b", "a"]
 
     def test_permutation_of_source_ids(self, rng):
         for _ in range(50):
@@ -113,7 +113,7 @@ class TestRerank:
             ids = [f"d{i}" for i in range(n)]
             keep = {i: int(c) for i, c in zip(ids, rng.integers(0, 6, n)) if rng.uniform() < 0.8}
             out = rerank(shortlist("q", ids), table_provider("q", keep))
-            assert sorted(out.ids()) == sorted(ids)
+            assert sorted(out.db_ids) == sorted(ids)
 
     def test_empty_shortlist_rejected(self):
         with pytest.raises(ValidationError):
@@ -134,7 +134,7 @@ class TestAdaptiveRerank:
         u = u_inlier("q", "correct", provider)
         out = adaptive_rerank(sl, provider, policy, u)
         assert out.gate_fired
-        assert out.ids() == rerank(sl, provider).ids()
+        assert out.db_ids == rerank(sl, provider).db_ids
 
     def test_gate_closed_preserves_retrieval_order(self):
         sl = shortlist("q", ["a", "b", "c"])
@@ -143,7 +143,7 @@ class TestAdaptiveRerank:
         u = UncertaintyScore("q", Estimator.INLIER, -30.0)
         out = adaptive_rerank(sl, provider, policy, u)
         assert not out.gate_fired
-        assert out.ids() == ["a", "b", "c"]
+        assert out.db_ids == ["a", "b", "c"]
         assert provider.calls == 0  # gating must stay lazy
         assert out.inliers == [30, None, None]  # top-1 count already paid for by u
         u = UncertaintyScore("q", Estimator.INLIER, -30)  # an int u reads the same
@@ -180,7 +180,7 @@ class TestAdaptiveRerank:
             provider = table_provider("q", {"a": top1, "b": 2})
             out = adaptive_rerank(sl, provider, policy, u_inlier("q", "a", provider))
             assert not out.gate_fired
-            assert out.ids() == sl.ids()
+            assert out.db_ids == sl.ids()
 
     def test_threshold_near_zero_always_fires(self):
         # probabilities are clipped to >= 1e-12, so anything below that floor
@@ -191,7 +191,7 @@ class TestAdaptiveRerank:
             provider = table_provider("q", {"a": top1, "b": 50})
             out = adaptive_rerank(sl, provider, policy, u_inlier("q", "a", provider))
             assert out.gate_fired
-            assert out.ids() == rerank(sl, provider).ids()
+            assert out.db_ids == rerank(sl, provider).db_ids
 
     @pytest.mark.parametrize("u_val", [1.0, 1000.0, -2.5])
     @pytest.mark.parametrize("threshold", [1e-13, 0.5, 1.0 - 1e-12])
@@ -214,7 +214,7 @@ class TestAdaptiveRerank:
             out = adaptive_rerank(sl, provider, policy, score)
             assert provider.calls == calls
             provider.calls = 0
-            assert out.ids() == ["b", "a", "c", "d"] and out.inliers == [9, 3, 1, None]
+            assert out.db_ids == ["b", "a", "c", "d"] and out.inliers == [9, 3, 1, None]
             assert [db_id for db_id, _ in out.diagnostics] == ["d"]
 
     def test_a_fired_gate_names_the_query_in_a_provider_validation_error(self):
@@ -260,7 +260,7 @@ class TestRerankedShortlist:
                                    (["a", "b"], [4, None], [2])):
             with pytest.raises(ValidationError, match="query 'q7': "):
                 RerankedShortlist("q7", ids, counts, ranks, gate_fired=True)
-        assert RerankedShortlist("q7", ["a"], [None], [1], gate_fired=False).ids() == ["a"]
+        assert RerankedShortlist("q7", ["a"], [None], [1], gate_fired=False).db_ids == ["a"]
 
 
 class TestRerankedCsv:

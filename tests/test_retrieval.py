@@ -20,7 +20,15 @@ from vprkit.retrieval import (
     write_shortlists_csv,
 )
 
-from conftest import AWKWARD_IDS, csv_bytes, full_sort_top_k, make_split, unit_rows
+from conftest import (
+    AWKWARD_IDS,
+    UNREADABLE_CSV,
+    csv_bytes,
+    full_sort_top_k,
+    make_split,
+    unit_rows,
+    unreadable_csv,
+)
 
 
 def oracle_full_sort(vectors, query):
@@ -535,6 +543,14 @@ class TestShortlistCsv:
         with open(path, "a", newline="") as fh:
             fh.write(row + "\r\n")
         with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}") + "$"):
+            read_shortlists_csv(path)
+
+    @pytest.mark.parametrize("case", UNREADABLE_CSV)
+    def test_an_unreadable_file_is_rejected_naming_it(self, tmp_path, case):
+        path = tmp_path / "s.csv"
+        path.write_bytes(unreadable_csv(case, "query_id,rank,db_id,distance", "q{i},1,d1,0.5"))
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{path}: {UNREADABLE_CSV[case]}") + "$"):
             read_shortlists_csv(path)
 
     def test_infinite_distance_round_trips(self, tmp_path):

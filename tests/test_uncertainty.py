@@ -39,7 +39,7 @@ from vprkit.uncertainty import (
 )
 from vprkit.evaluation import auprc, pr_curve
 
-from conftest import AWKWARD_IDS, InvalidPairProvider, csv_bytes
+from conftest import AWKWARD_IDS, UNREADABLE_CSV, InvalidPairProvider, csv_bytes, unreadable_csv
 
 from conftest import inlier_table
 
@@ -511,6 +511,14 @@ class TestScoresCsv:
         path = tmp_path / "scores.csv"
         path.write_text(text)
         with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}")):
+            read_scores_csv(path)
+
+    @pytest.mark.parametrize("case", UNREADABLE_CSV)
+    def test_an_unreadable_file_is_rejected_naming_it(self, tmp_path, case):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(unreadable_csv(case, self.HEADER.strip(), "q{i},l2,0.5,"))
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{path}: {UNREADABLE_CSV[case]}") + "$"):
             read_scores_csv(path)
 
     def test_a_bad_row_after_a_quoted_line_break_names_its_physical_line(self, tmp_path):
