@@ -19,6 +19,7 @@ from .retrieval import build_index, read_shortlists_csv, search_all, write_short
 from .uncertainty import (
     Estimator,
     LogisticModel,
+    _one_outcome,
     compute_uncertainties,
     fit_logistic,
     read_scores_csv,
@@ -217,12 +218,13 @@ def cmd_calibrate(args) -> int:
         if top1 is None:
             raise ValidationError(f"candidate {sl.db_ids[0]!r} not in db manifest")
         pairs.append((query.lat, query.lon, top1.lat, top1.lon))
-    wrong = ~threshold.within(haversine_many(*zip(*pairs)))
-    samples = [(score.u, bool(w)) for score, w in zip(scores, wrong)]
-    model = fit_logistic(samples)
+    correct = threshold.within(haversine_many(*zip(*pairs)))
+    if reason := _one_outcome(correct, threshold.tau):
+        raise ValidationError(reason)
+    model = fit_logistic([(score.u, not c) for score, c in zip(scores, correct.tolist())])
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(model.to_json() + "\n")
-    print(f"fitted on {len(samples)} queries; model written to {args.out}")
+    print(f"fitted on {len(scores)} queries; model written to {args.out}")
     return 0
 
 

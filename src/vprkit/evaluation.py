@@ -30,6 +30,7 @@ from .uncertainty import (
     LogisticModel,
     UncertaintyScore,
     _inlier_score,
+    _one_outcome,
     compute_uncertainties,
     fit_logistic,
 )
@@ -100,8 +101,8 @@ class EvalReport:
     taus: tuple[float, ...]
     seed: int
     recalls: dict = field(default_factory=dict)       # tau -> system -> K -> percent
-    auprc: dict = field(default_factory=dict)         # tau -> estimator -> area
-    pr_curves: dict = field(default_factory=dict)     # tau -> estimator -> [[r, p], ...]
+    auprc: dict = field(default_factory=dict)         # tau -> estimator -> area, or {}
+    pr_curves: dict = field(default_factory=dict)     # tau -> estimator -> [[r, p], ...], or {}
     correct_top1: dict = field(default_factory=dict)  # tau -> count
     gate_fired: int = 0
     gate: dict = field(default_factory=dict)
@@ -178,7 +179,10 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
     its scores. R@K counts first hits below K, a fired query's re-ranked.
     The first failed top-1 fetch in query order is raised, when the inlier
     estimator is scored, once every block is fetched, so a provider's
-    ``ValidationError`` in any block comes first.
+    ``ValidationError`` in any block comes first. The gate then reads the first
+    tau's top-1 correctness (a fitted one needs both outcomes there, whatever the
+    estimators), and one pass per tau fills the report; AUPRC and PR curves are
+    {}, absent, at a tau with no correct top-1.
     """
     workers = _check_int(workers, "workers", 1)
     if len(taus) == 0 or len(ks) == 0:
@@ -253,49 +257,35 @@ def evaluate_pipeline(db: Split, queries: Split, provider: MatcherProvider, *,
     if Estimator.INLIER in u and top1_error is not None:
         raise top1_error
 
-    report = EvalReport(n_queries=n_q, k=k, ks=ks, taus=taus, seed=seed)
-
-    for tau in report.taus:
-        key = _tau_key(tau)
-        top1 = first[tau][0] == 0  # a correct top-1 is a first hit at rank 0
-        report.correct_top1[key] = int(np.count_nonzero(top1))
-        report.auprc[key] = {}
-        report.pr_curves[key] = {}
-        for est in estimators:
-            curve = pr_curve(list(zip((-u[est]).tolist(), top1.tolist())))
-            report.pr_curves[key][est.value] = [[r, p] for r, p in curve]
-            report.auprc[key][est.value] = auprc(curve)
-
-    # --- adaptive gating ------------------------------------------------
-    primary_top1 = first[report.taus[0]][0] == 0
-    fitted_here = False
+    top1 = {tau: first[tau][0] == 0 for tau in taus}  # a correct top-1: a first hit at rank 0
+    fitted_here = gate_estimator != ORACLE_GATE and gate_model is None
+    if fitted_here and (reason := _one_outcome(top1[taus[0]], taus[0])):  # nothing to fit
+        raise ValidationError(f"{reason}; a gate model or the oracle gate is needed")
     if gate_estimator == ORACLE_GATE:
-        fired = ~primary_top1
+        fired = ~top1[taus[0]]
     else:
         gate_u = u[gate_estimator].tolist()
-        fitted_here = gate_model is None
         if fitted_here:
-            if primary_top1.all() or not primary_top1.any():  # one class: nothing to fit
-                raise ValidationError(
-                    f"{'every' if primary_top1.all() else 'no'} top-1 result is correct at "
-                    f"tau = {report.taus[0]:g} m, so no gate can be fitted here; "
-                    "a gate model or the oracle gate is needed")
-            gate_model = fit_logistic(list(zip(gate_u, (~primary_top1).tolist())))
+            gate_model = fit_logistic(list(zip(gate_u, (~top1[taus[0]]).tolist())))
         policy = GatePolicy(model=gate_model, threshold=gate_threshold, estimator=gate_estimator)
         fired = np.array([policy.fires(UncertaintyScore(query_id, gate_estimator, score))
                           for query_id, score in zip(query_ids, gate_u)])
 
-    report.gate_fired = int(np.count_nonzero(fired))
-    report.gate = {"estimator": str(gate_estimator), "threshold": gate_threshold,
-                   "fitted_here": fitted_here}
-
     # R@K = #{first hit < K} / n_q; a K past the shortlist reads all of it
-    for tau in report.taus:
-        retrieval, reranked = first[tau]
+    recalls, pr_curves, auprcs, correct_top1 = {}, {}, {}, {}
+    for tau in taus:
+        key, (retrieval, reranked) = _tau_key(tau), first[tau]
         firsts = {"retrieval": retrieval, "rerank": reranked,
                   "adaptive": np.where(fired, reranked, retrieval)}
-        report.recalls[_tau_key(tau)] = {
-            system: {str(kk): 100.0 * int(np.count_nonzero(f < min(kk, width))) / n_q
-                     for kk in report.ks}
-            for system, f in firsts.items()}
-    return report
+        recalls[key] = {system: {str(kk): 100.0 * int(np.count_nonzero(f < min(kk, width))) / n_q
+                                 for kk in ks} for system, f in firsts.items()}
+        correct_top1[key] = int(np.count_nonzero(top1[tau]))
+        curves = {est.value: pr_curve(list(zip((-u[est]).tolist(), top1[tau].tolist())))
+                  for est in (estimators if correct_top1[key] else ())}
+        pr_curves[key] = {est: [[r, p] for r, p in curve] for est, curve in curves.items()}
+        auprcs[key] = {est: auprc(curve) for est, curve in curves.items()}
+    return EvalReport(n_queries=n_q, k=k, ks=ks, taus=taus, seed=seed, recalls=recalls,
+                      auprc=auprcs, pr_curves=pr_curves, correct_top1=correct_top1,
+                      gate_fired=int(np.count_nonzero(fired)),
+                      gate={"estimator": str(gate_estimator), "threshold": gate_threshold,
+                            "fitted_here": fitted_here})

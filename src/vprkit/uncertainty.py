@@ -222,6 +222,13 @@ def _nll(theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     return float(ll.sum() + 0.5 * RIDGE_LAMBDA * (theta[0] ** 2 + theta[1] ** 2))
 
 
+def _one_outcome(correct: np.ndarray, tau: float) -> str | None:
+    """Why no gate can be fitted on top-1 correctness ``correct`` at ``tau`` m, or None."""
+    if correct.all() or not correct.any():
+        return (f"{'every' if correct.all() else 'no'} top-1 result is correct at "
+                f"tau = {tau:g} m, so no gate can be fitted here")
+
+
 def fit_logistic(samples: Sequence[tuple[float, bool]]) -> LogisticModel:
     """Fit P(wrong | u) by damped Newton on the ridge-regularized likelihood.
 

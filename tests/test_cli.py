@@ -383,10 +383,14 @@ class TestExitCodes:
             assert "Traceback" not in proc.stderr, name
         assert not Path(out).exists()
 
-    def test_evaluate_on_a_saturated_instance_says_what_is_needed(self, tmp_path, capsys):
-        d = tmp_path / "sat"
-        run_ok(["synth", "--out-dir", str(d), "--n-db", "200", "--n-queries", "50",
-                "--dim", "16", "--k", "10", "--target-r1", "1.0", "--seed", "3"])
+    @pytest.mark.parametrize("target_r1, which, correct", [("1.0", "every", 50),
+                                                            ("0.0", "no", 0)])
+    def test_evaluate_on_one_outcome_says_what_is_needed(self, target_r1, which, correct,
+                                                         tmp_path, capsys):
+        # every top-1 result is correct (the saturated regime), or none is: no gate can be
+        # fitted, while the oracle gate and a given model report; with no correct top-1
+        # there is no PR curve, so the PR CSV is its header alone
+        d = one_outcome_dir(tmp_path, target_r1)
         model = tmp_path / "model.json"
         model.write_text(LogisticModel(w=1.0, b=0.0, mean=0.0, std=1.0).to_json())
         argv = ["evaluate", "--db-manifest", str(d / "db.jsonl"), "--db-blob", str(d / "db.vprd"),
@@ -396,11 +400,40 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(argv) == 1
         assert capsys.readouterr().err == (
-            "error: every top-1 result is correct at tau = 25 m, so no gate can be fitted "
+            f"error: {which} top-1 result is correct at tau = 25 m, so no gate can be fitted "
             "here; a gate model or the oracle gate is needed\n")
+        pr_csv = tmp_path / "curves.csv"
         for gate in (["--oracle-gate"], ["--model", str(model)]):
-            run_ok(argv + gate)
-            assert "correct top-1: 50 " in capsys.readouterr().out
+            run_ok(argv + gate + ["--pr-csv", str(pr_csv)])
+            assert f"correct top-1: {correct} " in capsys.readouterr().out
+            header_only = pr_csv.read_bytes() == b"estimator,recall,precision\r\n"
+            assert header_only == (correct == 0)
+
+
+def one_outcome_dir(tmp_path, target_r1):
+    """The 200 x 50 x 16 instance of seed 3 at k = 10: every top-1 result is correct
+    at 25 m when ``target_r1`` is "1.0", and none is when it is "0.0"."""
+    d = tmp_path / f"r1_{target_r1}"
+    run_ok(["synth", "--out-dir", str(d), "--n-db", "200", "--n-queries", "50",
+            "--dim", "16", "--k", "10", "--target-r1", target_r1, "--seed", "3"])
+    return d
+
+
+@pytest.mark.parametrize("target_r1, which", [("1.0", "every"), ("0.0", "no")])
+def test_calibrate_on_one_outcome_says_why_it_cannot_fit(target_r1, which, tmp_path, capsys):
+    d = one_outcome_dir(tmp_path, target_r1)
+    retrieve_to(d, tmp_path / "s.csv", 10)
+    run_ok(["uncertainty", "--shortlists", str(tmp_path / "s.csv"),
+            "--estimator", "l2", "--out", str(tmp_path / "scores.csv")])
+    capsys.readouterr()
+    assert main(["calibrate", "--scores", str(tmp_path / "scores.csv"),
+                 "--shortlists", str(tmp_path / "s.csv"),
+                 "--query-manifest", str(d / "queries.jsonl"),
+                 "--db-manifest", str(d / "db.jsonl"),
+                 "--estimator", "l2", "--out", str(tmp_path / "model.json")]) == 1
+    assert capsys.readouterr().err == (f"error: {which} top-1 result is correct at tau = 25 m, "
+                                       "so no gate can be fitted here\n")
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_gate_loads_inlier_table_once(instance_dir, tmp_path, monkeypatch):

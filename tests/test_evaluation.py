@@ -346,6 +346,53 @@ class TestEvaluatePipeline:
         assert not path.exists()
 
 
+def one_outcome_instance(target_r1):
+    """200 x 50 x 16 at k = 10, seed 3: every top-1 result is correct at 25 m when
+    ``target_r1`` is 1, and none is when it is 0 (where re-ranking lifts R@1 to 56)."""
+    return generate(SynthConfig(n_db=200, n_queries=50, dim=16, matcher_quality=0.85,
+                                target_retrieval_r1=target_r1, seed=3), k=10)
+
+
+class TestTauWithNoCorrectTop1:
+    """A tau where no top-1 result is correct has recalls but no PR curve: its
+    curves and areas are {}, absent, not 0."""
+
+    GATES = (dict(gate_estimator="oracle"),
+             dict(gate_model=LogisticModel(w=1.0, b=0.0, mean=0.0, std=1.0)))
+
+    @pytest.mark.parametrize("gate", GATES, ids=["oracle", "model"])
+    def test_the_recalls_are_reported_and_the_curves_are_absent(self, gate, tmp_path):
+        inst = one_outcome_instance(0.0)
+        provider = TableProvider(inst.inliers)
+        reports = [evaluate_pipeline(inst.db, inst.queries, provider, k=10, workers=w, **gate)
+                   for w in (1, 2)]
+        assert reports[0].to_json() == reports[1].to_json()
+        report = reports[0]
+        assert report.correct_top1 == {"25.0": 0}
+        assert report.auprc == report.pr_curves == {"25.0": {}}
+        bare = evaluate_pipeline(inst.db, inst.queries, provider, k=10, estimators=(), **gate)
+        assert report.recalls == bare.recalls
+        assert report.recalls["25.0"]["rerank"]["1"] == 56.0
+        path = tmp_path / "curves.csv"
+        write_pr_curves_csv(report, path)
+        assert path.read_bytes() == b"estimator,recall,precision\r\n"
+
+    @pytest.mark.parametrize("gate", (*GATES, dict()), ids=["oracle", "model", "fitted"])
+    def test_a_later_tau_with_no_correct_top1_leaves_the_first_as_it_was(self, gate):
+        # no top-1 result lies within 0.5 m; the gate, fitted too, reads the first tau
+        inst = generate(SynthConfig(n_db=200, n_queries=50, dim=16, matcher_quality=0.85,
+                                    target_retrieval_r1=0.8, seed=3), k=10)
+        provider = TableProvider(inst.inliers)
+        both = evaluate_pipeline(inst.db, inst.queries, provider, k=10, taus=(25.0, 0.5), **gate)
+        alone = evaluate_pipeline(inst.db, inst.queries, provider, k=10, taus=(25.0,), **gate)
+        for name in ("recalls", "auprc", "pr_curves", "correct_top1"):
+            assert getattr(both, name)["25.0"] == getattr(alone, name)["25.0"], name
+        assert (both.gate_fired, both.gate) == (alone.gate_fired, alone.gate)
+        assert both.correct_top1["0.5"] == 0
+        assert both.auprc["0.5"] == both.pr_curves["0.5"] == {}
+        assert "AUPRC at tau = 0.5 m\n  queries: 50   correct top-1: 0 " in both.to_text()
+
+
 class CountingProvider(MatcherProvider):
     """Counts every get_inliers call, and the calls per pair, before delegating it."""
 
@@ -692,23 +739,20 @@ class TestEvaluateErrors:
             assert str(err.value) == (f"query {invalid[0]!r}: "
                                       f"cannot match ({invalid[0]}, {invalid[1]})")
 
-    @pytest.mark.parametrize("target_r1, which, estimators", [(1.0, "every", tuple(Estimator)),
-                                                             (0.0, "no", ())])
-    def test_a_gate_fitted_on_one_outcome_says_what_is_needed(self, target_r1, which,
-                                                               estimators):
-        # the saturated regime: every top-1 result is correct, so no gate can be fitted
-        # here, while the oracle gate and a given model still report
-        inst = generate(SynthConfig(n_db=200, n_queries=50, dim=16, matcher_quality=0.85,
-                                    target_retrieval_r1=target_r1, seed=3), k=10)
+    @pytest.mark.parametrize("target_r1, which", [(1.0, "every"), (0.0, "no")])
+    def test_a_gate_fitted_on_one_outcome_says_what_is_needed(self, target_r1, which):
+        # every top-1 result is correct (the saturated regime), or none is: no gate can
+        # be fitted here, with every estimator scored, while the oracle gate and a given
+        # model still report
+        inst = one_outcome_instance(target_r1)
         provider = TableProvider(inst.inliers)
         with pytest.raises(ValidationError) as err:
-            evaluate_pipeline(inst.db, inst.queries, provider, k=10, estimators=estimators)
+            evaluate_pipeline(inst.db, inst.queries, provider, k=10)
         assert str(err.value) == (f"{which} top-1 result is correct at tau = 25 m, so no gate "
                                   "can be fitted here; a gate model or the oracle gate is needed")
         model = LogisticModel(w=1.0, b=0.0, mean=0.0, std=1.0)
         for gate in (dict(gate_estimator="oracle"), dict(gate_model=model)):
-            report = evaluate_pipeline(inst.db, inst.queries, provider, k=10,
-                                       estimators=estimators, **gate)
+            report = evaluate_pipeline(inst.db, inst.queries, provider, k=10, **gate)
             assert report.correct_top1 == {"25.0": 50 if target_r1 else 0}
             assert not report.gate["fitted_here"]
 
